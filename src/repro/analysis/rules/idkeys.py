@@ -3,8 +3,8 @@
 CPython reuses object ids the moment an object is collected, so keying a
 dict, populating a set, or comparing with ``id(x)`` is only correct while
 every keyed object is provably kept alive — an invariant refactors break
-without a test noticing (the simulator documented exactly this hazard and
-PR 5 replaced its ``id(task)`` keys with run-scoped TaskIds). This rule
+without a test noticing (the simulator once keyed queued tasks by
+``id(task)``; it now carries each task's job on the task itself). This rule
 flags ``id(...)`` the moment its value flows somewhere key-like:
 
 * a subscript key (``d[id(x)]``), a dict-literal or dict-comprehension

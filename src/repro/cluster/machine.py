@@ -5,8 +5,9 @@ low-priority container queue, power state — and all telemetry accounting.
 Telemetry uses exact time integrals: every state change first advances the
 integrals with the old state (``advance``), then applies the change, so the
 hourly averages are exact regardless of event spacing. At every hour boundary
-the simulator calls :meth:`flush_hour`, which emits one
-:class:`~repro.telemetry.records.MachineHourRecord` and resets accumulators.
+the simulator calls :meth:`flush_hour_into`, which appends the machine-hour to
+the run's :class:`~repro.telemetry.frame.MachineHourFrame` and resets the
+accumulators.
 
 Task-duration model (Level IV abstraction — machines matter, individual
 task-to-task interference does not):
@@ -17,6 +18,14 @@ where ``speed`` is the SKU per-core speed, ``throttle`` the power-capping
 frequency factor, ``beta`` the SKU contention sensitivity, ``util`` the CPU
 utilization at task start, and ``io_penalty`` grows with the machine's
 current I/O rate against the temp-store medium (HDD for SC1, SSD for SC2).
+
+Everything in that formula that depends only on configuration — cores,
+``speed · feature``, ``beta``, the temp-store I/O capacity and the software's
+I/O coefficient — is cached in slots and refreshed whenever ``software`` or
+``feature_enabled`` is assigned, so the per-event paths (:meth:`advance`,
+:meth:`start_task`, :meth:`finish_task`) read plain attributes instead of
+recomputing them. A power cap enters only through the throttle factor, which
+depends on the utilization at task start.
 """
 
 from __future__ import annotations
@@ -54,7 +63,7 @@ class Machine:
         "machine_id",
         "name",
         "sku",
-        "software",
+        "_software",
         "rack",
         "chassis",
         "row",
@@ -62,7 +71,7 @@ class Machine:
         "max_running_containers",
         "max_queued_containers",
         "cap_watts",
-        "feature_enabled",
+        "_feature_enabled",
         "faulted",
         "slowdown",
         "n_running",
@@ -88,6 +97,12 @@ class Machine:
         "_uncapped_seconds",
         "_uncapped_util_pow_seconds",
         "_fault_seconds",
+        # Configuration constants of the duration model (see _refresh).
+        "_cores",
+        "_speed",
+        "_beta",
+        "_io_capacity",
+        "_io_coeff",
     )
 
     def __init__(
@@ -104,7 +119,7 @@ class Machine:
         self.machine_id = machine_id
         self.name = f"m{machine_id:06d}"
         self.sku = sku
-        self.software = software
+        self._software = software
         self.rack = rack
         self.chassis = chassis
         self.row = row
@@ -112,7 +127,8 @@ class Machine:
         self.max_running_containers = limits.max_running_containers
         self.max_queued_containers = limits.max_queued_containers
         self.cap_watts: float | None = None
-        self.feature_enabled = False
+        self._feature_enabled = False
+        self._refresh()
         # Fault-plane state: a faulted (crashed) machine accepts no work and
         # draws no power; ``slowdown`` > 1 models a straggler (degraded node).
         self.faulted = False
@@ -129,12 +145,49 @@ class Machine:
         self._reset_accumulators()
 
     # ------------------------------------------------------------------
+    # Configuration (each write refreshes the cached constants)
+    # ------------------------------------------------------------------
+    @property
+    def software(self) -> SoftwareConfig:
+        """The machine's software configuration (SC)."""
+        return self._software
+
+    @software.setter
+    def software(self, software: SoftwareConfig) -> None:
+        self._software = software
+        self._refresh()
+
+    @property
+    def feature_enabled(self) -> bool:
+        """Whether the processor Feature is on."""
+        return self._feature_enabled
+
+    @feature_enabled.setter
+    def feature_enabled(self, enabled: bool) -> None:
+        self._feature_enabled = enabled
+        self._refresh()
+
+    def _refresh(self) -> None:
+        """Recompute the duration model's configuration constants."""
+        sku = self.sku
+        software = self._software
+        self._cores = sku.cores
+        speed = sku.speed_factor
+        if self._feature_enabled:
+            speed *= power_model.FEATURE_SPEED_BOOST
+        self._speed = speed
+        self._beta = sku.contention_beta
+        mbps = sku.ssd_io_mbps if software.temp_store_on_ssd else sku.hdd_io_mbps
+        self._io_capacity = mbps * 1e6
+        self._io_coeff = software.io_contention_coeff
+
+    # ------------------------------------------------------------------
     # Identity helpers
     # ------------------------------------------------------------------
     @property
     def group_key(self) -> MachineGroupKey:
         """The SC–SKU machine-group this machine belongs to."""
-        return MachineGroupKey(software=self.software.name, sku=self.sku.name)
+        return MachineGroupKey(software=self._software.name, sku=self.sku.name)
 
     @property
     def has_free_slot(self) -> bool:
@@ -149,21 +202,11 @@ class Machine:
     @property
     def cpu_utilization(self) -> float:
         """Instantaneous CPU utilization in [0, 1]."""
-        return min(1.0, self.active_cores / self.sku.cores)
+        return min(1.0, self.active_cores / self._cores)
 
     # ------------------------------------------------------------------
     # Task-duration model
     # ------------------------------------------------------------------
-    def effective_speed(self) -> float:
-        """Per-core speed including SKU, Feature, and power throttling."""
-        speed = self.sku.speed_factor
-        if self.feature_enabled:
-            speed *= power_model.FEATURE_SPEED_BOOST
-        speed *= power_model.throttle_factor(
-            self.sku, self.cpu_utilization, self.feature_enabled, self.cap_watts
-        )
-        return speed
-
     def io_penalty(self) -> float:
         """Duration multiplier from temp-store I/O contention (≥ 1).
 
@@ -171,26 +214,33 @@ class Machine:
         bandwidth, SC2 by the much larger SSD bandwidth, so the same load
         penalizes SC1 far more — the mechanism behind Table 4.
         """
-        if self.software.temp_store_on_ssd:
-            capacity = self.sku.ssd_io_mbps * 1e6
-        else:
-            capacity = self.sku.hdd_io_mbps * 1e6
-        pressure = self.io_rate_bytes_per_s / capacity
-        return 1.0 + self.software.io_contention_coeff * pressure
+        return 1.0 + self._io_coeff * (self.io_rate_bytes_per_s / self._io_capacity)
 
     def task_duration(self, work_seconds: float) -> float:
-        """Execution time of ``work_seconds`` of normalized work started now."""
-        utilization = self.cpu_utilization
-        speed = self.effective_speed()
-        contention = 1.0 + self.sku.contention_beta * utilization
-        # ``slowdown`` is 1.0 on healthy machines; multiplying by exactly 1.0
-        # is a bitwise no-op, so the no-fault path is unchanged.
-        return work_seconds / speed * contention * self.io_penalty() * self.slowdown
+        """Execution time of ``work_seconds`` of normalized work started now.
+
+        The one duration formula, shared by capped and uncapped machines: the
+        throttle factor is exactly 1.0 without a cap and ``slowdown`` exactly
+        1.0 on healthy machines, and multiplying by 1.0 is a bitwise no-op.
+        """
+        utilization = self.active_cores / self._cores
+        if utilization > 1.0:
+            utilization = 1.0
+        cap = self.cap_watts
+        throttle = 1.0 if cap is None else power_model.throttle_factor(
+            self.sku, utilization, self._feature_enabled, cap
+        )
+        return (
+            work_seconds / (self._speed * throttle)
+            * (1.0 + self._beta * utilization)
+            * (1.0 + self._io_coeff * (self.io_rate_bytes_per_s / self._io_capacity))
+            * self.slowdown
+        )
 
     def power_draw(self) -> float:
         """Current power draw in watts (post-capping)."""
         return power_model.power_draw_watts(
-            self.sku, self.cpu_utilization, self.feature_enabled, self.cap_watts
+            self.sku, self.cpu_utilization, self._feature_enabled, self.cap_watts
         )
 
     # ------------------------------------------------------------------
@@ -204,10 +254,11 @@ class Machine:
         from the active-core integral at flush time instead of per event.
         """
         dt = now - self._last_update
-        if dt <= 0.0:
-            self._last_update = max(self._last_update, now)
+        if dt <= 0.0:  # already integrated up to (or past) ``now``
             return
-        self._int_active_cores += min(self.active_cores, self.sku.cores) * dt
+        active = self.active_cores
+        cores = self._cores
+        self._int_active_cores += (active if active < cores else cores) * dt
         self._int_containers += self.n_running * dt
         self._int_io_bytes += self.io_rate_bytes_per_s * dt
         self._int_ram += self.ram_gb_in_use * dt
@@ -219,9 +270,12 @@ class Machine:
         elif self.cap_watts is not None:
             self._int_power += self.power_draw() * dt
         else:
+            utilization = active / cores
+            if utilization > 1.0:
+                utilization = 1.0
             self._uncapped_seconds += dt
             self._uncapped_util_pow_seconds += (
-                self.cpu_utilization**power_model.UTILIZATION_EXPONENT * dt
+                utilization**power_model.UTILIZATION_EXPONENT * dt
             )
         if self.queue:
             self._int_queue_len += len(self.queue) * dt
@@ -244,20 +298,29 @@ class Machine:
         """Release one container's resources and account its totals."""
         self.advance(now)
         self.n_running -= 1
-        self.active_cores = max(0.0, self.active_cores - cpu_fraction)
-        self.ram_gb_in_use = max(RAM_BASE_GB, self.ram_gb_in_use - ram_gb)
-        self.ssd_gb_in_use = max(SSD_BASE_GB, self.ssd_gb_in_use - ssd_gb)
-        self.io_rate_bytes_per_s = max(
-            0.0, self.io_rate_bytes_per_s - data_bytes / duration
-        )
+        # Clamped at the idle baseline against float drift; conditionals
+        # rather than max() because this runs once per task.
+        cores = self.active_cores - cpu_fraction
+        self.active_cores = cores if cores > 0.0 else 0.0
+        ram = self.ram_gb_in_use - ram_gb
+        self.ram_gb_in_use = ram if ram > RAM_BASE_GB else RAM_BASE_GB
+        ssd = self.ssd_gb_in_use - ssd_gb
+        self.ssd_gb_in_use = ssd if ssd > SSD_BASE_GB else SSD_BASE_GB
+        io_rate = self.io_rate_bytes_per_s - data_bytes / duration
+        self.io_rate_bytes_per_s = io_rate if io_rate > 0.0 else 0.0
         self._tasks_finished += 1
         self._cpu_seconds += cpu_fraction * duration
         self._task_seconds += duration
 
-    def enqueue(self, now: float, task: object) -> None:
-        """Queue a low-priority container on this machine."""
+    def enqueue(self, now: float, task: object, waited: float = 0.0) -> None:
+        """Queue a low-priority container on this machine.
+
+        ``waited`` is queue time the task already served on a machine that
+        crashed; it backdates the enqueue so the eventual dequeue reports the
+        joined cross-machine wait.
+        """
         self.advance(now)
-        self.queue.append(QueuedTask(task=task, enqueue_time=now))
+        self.queue.append(QueuedTask(task=task, enqueue_time=now - waited))
         self._queue_enqueued += 1
 
     def dequeue(self, now: float) -> tuple[object, float] | None:

@@ -28,18 +28,7 @@ from repro.cluster.machine import Machine
 from repro.utils.errors import SchedulingError
 from repro.workload.task import Task
 
-__all__ = ["YarnScheduler", "PlacementResult"]
-
-
-class PlacementResult:
-    """Outcome of one placement attempt."""
-
-    __slots__ = ("machine", "started", "queued")
-
-    def __init__(self, machine: Machine, started: bool, queued: bool):
-        self.machine = machine
-        self.started = started
-        self.queued = queued
+__all__ = ["YarnScheduler"]
 
 
 class YarnScheduler:
@@ -128,18 +117,24 @@ class YarnScheduler:
     # ------------------------------------------------------------------
     # Placement
     # ------------------------------------------------------------------
-    def place(self, task: Task, now: float) -> PlacementResult:
-        """Place ``task``: start it on a random free machine, else queue it."""
+    def place(self, task: Task, now: float, waited: float = 0.0) -> Machine | None:
+        """Place ``task``: pick a random free machine, else queue it.
+
+        Returns the machine the caller must start ``task`` on, or None when
+        every slot was busy and ``task`` went into a random machine's queue
+        (``waited`` backdates that enqueue: see :meth:`Machine.enqueue`).
+        Raises :class:`SchedulingError` when every queue is full too.
+        """
         self.placements += 1
-        if self._available:
-            machine = self._available[self._rng.randrange(len(self._available))]
-            return PlacementResult(machine=machine, started=True, queued=False)
+        available = self._available
+        if available:
+            return available[self._rng.randrange(len(available))]
         machine = self._pick_queue_machine()
-        machine.enqueue(now, task)
+        machine.enqueue(now, task, waited)
         if not machine.has_queue_space:
             self._remove_queue_space(machine)
         self.queued_placements += 1
-        return PlacementResult(machine=machine, started=False, queued=True)
+        return None
 
     def _pick_queue_machine(self) -> Machine:
         machines = self.cluster.machines

@@ -52,11 +52,11 @@ from repro.telemetry.records import (
     TaskLog,
 )
 from repro.utils.errors import SchedulingError
-from repro.utils.rng import RngStreams, derive_seed
+from repro.utils.rng import RngStreams
 from repro.utils.units import SECONDS_PER_HOUR
 from repro.workload.generator import Workload
 from repro.workload.job import JobRuntime
-from repro.workload.task import Task, TaskId, task_run_scope
+from repro.workload.task import Task
 
 __all__ = [
     "SimulationConfig",
@@ -89,6 +89,16 @@ class SimulationConfig:
     resource_sample_machines: int = 0
     resource_sample_sku: str | None = None
     placement_retry_s: float = 60.0
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.task_log_sample_rate <= 1.0:
+            raise ValueError("task_log_sample_rate must be in [0, 1]")
+        if self.resource_sample_period_s < 0 or self.resource_sample_machines < 0:
+            raise ValueError("resource sampling knobs must be non-negative")
+        # A zero delay would re-push RETRY events at the same instant forever
+        # under overload, so simulated time could never advance.
+        if not self.placement_retry_s > 0.0:
+            raise ValueError("placement_retry_s must be positive")
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,24 +211,6 @@ class SimulationResult:
         return self.jobs_submitted * 24.0 / self.duration_hours
 
 
-class _TaskRun:
-    """Payload of a FINISH event."""
-
-    __slots__ = ("machine", "job", "task", "duration", "log_row", "cancelled")
-
-    def __init__(self, machine: Machine, job: JobRuntime, task: Task,
-                 duration: float, log_row: int):
-        self.machine = machine
-        self.job = job
-        self.task = task
-        self.duration = duration
-        self.log_row = log_row
-        # Set when the hosting machine crashes mid-execution: the FINISH
-        # event stays in the heap (removal would be O(n log n)) but becomes
-        # a no-op, and the task is requeued elsewhere.
-        self.cancelled = False
-
-
 class ClusterSimulator:
     """Runs one workload against one cluster, collecting telemetry."""
 
@@ -228,7 +220,6 @@ class ClusterSimulator:
         workload: Workload,
         streams: RngStreams | None = None,
         config: SimulationConfig | None = None,
-        run_token: str | None = None,
         profile: bool | None = None,
     ):
         self.cluster = cluster
@@ -240,15 +231,6 @@ class ClusterSimulator:
         self._profiling = bool(profile)
         self.streams = streams if streams is not None else RngStreams(0)
         self.config = config if config is not None else SimulationConfig()
-        # The run-scoped task-identity token. Derived from the stream seed
-        # (itself a function of the caller's seed/workload tag), so the same
-        # simulation allocates the same task ids in any process, while two
-        # different runs — in one process or many — can never collide.
-        self.run_token = (
-            run_token
-            if run_token is not None
-            else f"run-{derive_seed(self.streams.seed, 'task-run-token'):016x}"
-        )
         self.scheduler = YarnScheduler(
             cluster, seed=self.streams.get("scheduler-seed").integers(0, 2**31).item()
         )
@@ -263,18 +245,6 @@ class ClusterSimulator:
         )
         self._sampled_machines: list[Machine] = []
         self._pending_actions: list[tuple[float, Callable[[ClusterSimulator], None]]] = []
-        # Maps task.task_id -> JobRuntime for tasks sitting in machine
-        # queues. Keyed by the run-scoped task id, not id(task): CPython
-        # reuses object ids after garbage collection, so an id() key could
-        # silently alias a finished task with a freshly allocated one — and
-        # the run token keeps identities distinct across runs and worker
-        # processes.
-        self._job_of_queued: dict[TaskId, JobRuntime] = {}
-        # Queue wait accrued on a crashed machine, keyed by task id, joined
-        # into the task's next placement so fault scenarios report
-        # end-to-end wait rather than per-placement wait. Empty on
-        # fault-free runs — _place only pays a falsy-dict check.
-        self._carried_wait: dict[TaskId, float] = {}
 
     # ------------------------------------------------------------------
     # Public API
@@ -328,10 +298,6 @@ class ClusterSimulator:
         """Simulate ``duration_hours`` hours and return the collected telemetry."""
         if duration_hours <= 0:
             raise ValueError("duration_hours must be positive")
-        with task_run_scope(self.run_token):
-            return self._run(duration_hours)
-
-    def _run(self, duration_hours: float) -> SimulationResult:
         horizon = duration_hours * SECONDS_PER_HOUR
         self._push(0.0, _HOUR, 0)
         for time, action in self._pending_actions:
@@ -352,14 +318,17 @@ class ClusterSimulator:
         )
         self._profiling = profiling
         while heap:
-            time, kind, _seq, payload = heapq.heappop(heap)
+            time, kind, seq, payload = heapq.heappop(heap)
             if time > horizon:
+                # Put it back: at the horizon the heap still holds every
+                # running task's FINISH and every pending RETRY.
+                heapq.heappush(heap, (time, kind, seq, payload))
                 break
             self.now = time
             # repro: allow[REP001] obs-gated profiling: attribution only, never enters simulation state
             tick = perf_counter() if profiling else 0.0
             if kind == _FINISH:
-                self._handle_finish(payload)
+                self._handle_finish(payload, seq)
             elif kind == _ARRIVAL:
                 self._handle_arrival(payload)
                 arrival_index += 1
@@ -379,8 +348,7 @@ class ClusterSimulator:
             elif kind == _SAMPLE:
                 self._handle_sample(payload, horizon)
             elif kind == _RETRY:
-                job, task = payload
-                self._place(job, task, retried=True)
+                self._place(payload, retried=True)
             elif kind == _CRASH:
                 self._handle_crash(payload)
             elif kind == _RECOVER:
@@ -410,8 +378,11 @@ class ClusterSimulator:
     # ------------------------------------------------------------------
     # Event plumbing
     # ------------------------------------------------------------------
-    def _push(self, time: float, kind: int, payload: object) -> None:
-        heapq.heappush(self._heap, (time, kind, next(self._seq), payload))
+    def _push(self, time: float, kind: int, payload: object) -> int:
+        """Schedule an event; returns its sequence number."""
+        seq = next(self._seq)
+        heapq.heappush(self._heap, (time, kind, seq, payload))
+        return seq
 
     def _handle_arrival(self, template) -> None:
         job = JobRuntime(
@@ -424,71 +395,61 @@ class ClusterSimulator:
         self._start_stage(job)
 
     def _start_stage(self, job: JobRuntime) -> None:
-        tasks = job.start_next_stage(self._stage_rng)
-        for task in tasks:
-            self._place(job, task)
+        for task in job.start_next_stage(self._stage_rng):
+            self._place(task)
 
-    def _place(self, job: JobRuntime, task: Task, retried: bool = False) -> None:
+    def _place(self, task: Task, retried: bool = False) -> None:
         profiling = self._profiling
         if profiling:
-            profile = self.result.profile
             # repro: allow[REP001] obs-gated profiling: attribution only, never enters simulation state
             tick = perf_counter()
+        wait = task.carried_wait
         try:
-            placement = self.scheduler.place(task, self.now)
+            machine = self.scheduler.place(task, self.now, wait)
         except SchedulingError:
             if profiling:
-                # repro: allow[REP001] obs-gated profiling: attribution only, never enters simulation state
-                profile.placement_seconds += perf_counter() - tick
-                profile.placements += 1
+                self._note_placement(tick)
             # Every queue is full: back off and retry instead of failing —
             # finite tuned queue limits must be simulable under overload.
             # Each task counts once, however many retries it takes.
             if not retried:
                 self.result.tasks_deferred += 1
-            self._push(self.now + self.config.placement_retry_s, _RETRY, (job, task))
+            self._push(self.now + self.config.placement_retry_s, _RETRY, task)
             return
         if profiling:
-            # repro: allow[REP001] obs-gated profiling: attribution only, never enters simulation state
-            profile.placement_seconds += perf_counter() - tick
-            profile.placements += 1
-        if placement.started:
-            wait = 0.0
-            if self._carried_wait:
-                wait = self._carried_wait.pop(task.task_id, 0.0)
-                if wait > 0.0:
-                    # The wait was served on a machine that died; sample it
-                    # on the machine that finally runs the task so frame
-                    # telemetry sees the end-to-end figure.
-                    placement.machine.note_carried_wait(wait)
-            self._start_on(placement.machine, job, task, queue_wait=wait)
-            self.scheduler.note_started(placement.machine)
-        else:
+            self._note_placement(tick)
+        if wait > 0.0:
+            # The wait was served on a machine that died and is now joined
+            # into this placement: a queued task's enqueue was backdated by
+            # it, and a started task samples it on the machine that runs it
+            # so frame telemetry sees the end-to-end figure.
+            task.carried_wait = 0.0
+            if machine is not None:
+                machine.note_carried_wait(wait)
+        if machine is None:
             self.result.tasks_queued += 1
-            if self._carried_wait:
-                carried = self._carried_wait.pop(task.task_id, 0.0)
-                if carried > 0.0:
-                    # Backdate the enqueue so the eventual dequeue reports
-                    # the joined cross-machine wait.
-                    placement.machine.queue[-1].enqueue_time -= carried
-            self._job_of_queued[task.task_id] = job
+        else:
+            self._start_on(machine, task, wait)
+            self.scheduler.note_started(machine)
 
-    def _start_on(
-        self, machine: Machine, job: JobRuntime, task: Task, queue_wait: float
-    ) -> None:
+    def _note_placement(self, tick: float) -> None:
+        profile = self.result.profile
+        # repro: allow[REP001] obs-gated profiling: attribution only, never enters simulation state
+        profile.placement_seconds += perf_counter() - tick
+        profile.placements += 1
+
+    def _start_on(self, machine: Machine, task: Task, queue_wait: float) -> None:
+        now = self.now
         duration = machine.start_task(
-            self.now,
-            cpu_fraction=task.cpu_fraction,
-            ram_gb=task.ram_gb,
-            ssd_gb=task.ssd_gb,
-            data_bytes=task.data_bytes,
-            work_seconds=task.work_seconds,
+            now, task.cpu_fraction, task.ram_gb, task.ssd_gb, task.data_bytes,
+            task.work_seconds,
         )
-        self.result.tasks_started += 1
+        result = self.result
+        result.tasks_started += 1
         log_row = -1
-        rate = self.result.task_log.sample_rate
+        rate = result.task_log.sample_rate
         if rate > 0.0 and (rate >= 1.0 or self._log_rng.random() < rate):
-            log_row = self.result.task_log.append(
+            log_row = result.task_log.append(
                 sku=machine.sku.name,
                 software=machine.software.name,
                 rack=machine.rack,
@@ -496,28 +457,31 @@ class ClusterSimulator:
                 duration=duration,
                 data_bytes=task.data_bytes,
                 cpu_seconds=task.cpu_fraction * duration,
-                start=self.now,
+                start=now,
                 queue_wait=queue_wait,
-                job_template=job.template.name,
+                job_template=task.job.template.name,
             )
-        self._push(self.now + duration, _FINISH, _TaskRun(machine, job, task, duration, log_row))
+        task.machine = machine
+        task.duration = duration
+        task.log_row = log_row
+        task.finish_seq = self._push(now + duration, _FINISH, task)
 
-    def _handle_finish(self, run: _TaskRun) -> None:
-        if run.cancelled:
-            # The hosting machine crashed while this task ran; the task was
-            # requeued and will produce a fresh FINISH from its new machine.
+    def _handle_finish(self, task: Task, seq: int) -> None:
+        if task.finish_seq != seq:
+            # A crash cancelled this entry: the task was requeued and owns a
+            # newer FINISH entry (or is still waiting for one).
             return
-        machine, job, task = run.machine, run.job, run.task
-        machine.finish_task(
-            self.now,
-            cpu_fraction=task.cpu_fraction,
-            ram_gb=task.ram_gb,
-            ssd_gb=task.ssd_gb,
-            data_bytes=task.data_bytes,
-            duration=run.duration,
+        machine, job, duration = task.machine, task.job, task.duration
+        # Only a machine at its slot limit or with a queue can change its
+        # scheduler-set membership by finishing a task.
+        refresh = (
+            machine.n_running >= machine.max_running_containers or machine.queue
         )
-        stage_done = job.on_task_finish(self.now, run.duration, run.log_row)
-        if stage_done:
+        machine.finish_task(
+            self.now, task.cpu_fraction, task.ram_gb, task.ssd_gb,
+            task.data_bytes, duration,
+        )
+        if job.on_task_finish(self.now, duration, task.log_row):
             if job.last_finish_log_row >= 0:
                 self.result.task_log.mark_critical(job.last_finish_log_row)
             if job.has_next_stage:
@@ -536,17 +500,14 @@ class ClusterSimulator:
                         is_benchmark=job.template.is_benchmark,
                     )
                 )
-        self._drain_queue(machine)
-        self.scheduler.refresh_machine(machine)
+        if refresh:
+            self._drain_queue(machine)
+            self.scheduler.refresh_machine(machine)
 
     def _drain_queue(self, machine: Machine) -> None:
         while machine.has_free_slot and machine.queue:
-            popped = machine.dequeue(self.now)
-            if popped is None:  # pragma: no cover - guarded by loop condition
-                break
-            task, wait = popped
-            job = self._job_of_queued.pop(task.task_id)
-            self._start_on(machine, job, task, queue_wait=wait)
+            task, wait = machine.dequeue(self.now)
+            self._start_on(machine, task, wait)
 
     # ------------------------------------------------------------------
     # Fault handling
@@ -558,29 +519,26 @@ class ClusterSimulator:
         machine.advance(self.now)
         # Displaced work, in deterministic order: queued tasks first (they
         # carry their accrued wait), then running tasks from the heap scan.
-        displaced: list[tuple[JobRuntime, Task, float]] = []
+        displaced: list[Task] = []
         while machine.queue:
             queued = machine.queue.popleft()
-            task = queued.task
-            job = self._job_of_queued.pop(task.task_id)
-            displaced.append((job, task, self.now - queued.enqueue_time))
+            queued.task.carried_wait = self.now - queued.enqueue_time
+            displaced.append(queued.task)
         # O(heap) scan per crash: crashes are rare events, and lazily
-        # cancelling beats restructuring the heap on the hot path.
-        for item in self._heap:
-            if item[1] == _FINISH:
-                run = item[3]
-                if run.machine is machine and not run.cancelled:
-                    run.cancelled = True
-                    displaced.append((run.job, run.task, 0.0))
+        # cancelling beats restructuring the heap on the hot path. An entry
+        # is live only while its seq is the task's finish_seq, so a task
+        # restarted elsewhere never revives an entry cancelled here.
+        for _time, kind, seq, task in self._heap:
+            if kind == _FINISH and task.finish_seq == seq and task.machine is machine:
+                task.finish_seq = -1
+                displaced.append(task)
         machine.crash(self.now)
         # Faulted machines report no free slot / queue space, so the
         # refresh evicts the machine from both scheduler sets.
         self.scheduler.refresh_machine(machine)
-        for job, task, waited in displaced:
-            if waited > 0.0:
-                self._carried_wait[task.task_id] = waited
-            self.result.tasks_requeued += 1
-            self._place(job, task)
+        self.result.tasks_requeued += len(displaced)
+        for task in displaced:
+            self._place(task)
 
     def _handle_recover(self, machine: Machine) -> None:
         if not machine.faulted:

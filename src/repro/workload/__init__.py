@@ -9,7 +9,7 @@ from repro.workload.generator import (
 from repro.workload.job import JobRuntime
 from repro.workload.operators import OPERATORS, OperatorSpec, operator_by_name
 from repro.workload.seasonality import FLAT_PROFILE, SeasonalityProfile, SpikeProfile
-from repro.workload.task import Task, TaskId, task_run_scope
+from repro.workload.task import Task
 from repro.workload.template import (
     JobTemplate,
     StageSpec,
@@ -30,8 +30,6 @@ __all__ = [
     "SeasonalityProfile",
     "SpikeProfile",
     "Task",
-    "TaskId",
-    "task_run_scope",
     "JobTemplate",
     "StageSpec",
     "benchmark_templates",

@@ -75,18 +75,18 @@ class JobRuntime:
         work, data, ram, ssd = sample_task_params(
             op, n_tasks, rng, work_scale=spec.work_scale, data_scale=spec.data_scale
         )
+        # Task parameters are validated here, once per stage (NaN fails the
+        # comparisons too); ``cpu_fraction`` is checked by OperatorSpec.
+        if not (work > 0.0).all():
+            raise ValueError(f"{op.name}: work_seconds must be positive")
+        if not (data >= 0.0).all():
+            raise ValueError(f"{op.name}: data_bytes must be non-negative")
+        name, cpu = op.name, op.cpu_fraction
         tasks = [
-            Task(
-                job_id=self.job_id,
-                stage_index=self.current_stage,
-                operator=op.name,
-                work_seconds=float(work[i]),
-                data_bytes=float(data[i]),
-                cpu_fraction=op.cpu_fraction,
-                ram_gb=float(ram[i]),
-                ssd_gb=float(ssd[i]),
+            Task(self, name, w, d, cpu, r, s)
+            for w, d, r, s in zip(
+                work.tolist(), data.tolist(), ram.tolist(), ssd.tolist(), strict=True
             )
-            for i in range(n_tasks)
         ]
         self.remaining_in_stage = n_tasks
         self.n_tasks_total += n_tasks

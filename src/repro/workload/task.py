@@ -1,105 +1,73 @@
 """Task: one container's worth of work.
 
 A task is the unit the scheduler places (one task = one container, Section 2).
-Fields are plain data; all execution behaviour (duration under contention,
-throttling, I/O penalties) lives in :class:`repro.cluster.machine.Machine`.
+Its fields are plain data; all execution behaviour (duration under
+contention, throttling, I/O penalties) lives in
+:class:`repro.cluster.machine.Machine`.
 
-Task identities are **run-scoped**: a :class:`TaskId` pairs a run token with
-a sequence number allocated from zero inside that run's
-:func:`task_run_scope`. A bare process-monotonic counter would be enough for
-simulator-internal keying, but it is process-*relative*: two pool worker
-processes both start counting at zero, so the same sequence number names
-*different* tasks in different workers, and cross-run joins on task identity
-silently collide. With the run token derived from the simulation's inputs
-(the workload tag / seed), the same simulation allocates the same ids in any
-process, and different runs can never collide.
+A task carries its own :class:`~repro.workload.job.JobRuntime` and any
+queue wait it served on a machine that crashed (``carried_wait``), so the
+simulator keeps no side tables for queued or crash-displaced tasks. Once a
+task starts, the simulator stamps its run state on it — the hosting
+machine, the duration, the task-log row and the sequence number of its
+FINISH event — so the task itself is the FINISH payload.
+
+Tasks are built in bulk, one stage at a time, by
+:meth:`JobRuntime.start_next_stage`, which validates the stage's sampled
+parameters once for the whole stage; the constructor itself does no checks.
 """
 
 from __future__ import annotations
 
-import contextvars
-import itertools
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-__all__ = ["Task", "TaskId", "task_run_scope"]
+if TYPE_CHECKING:  # pragma: no cover - job.py imports this module
+    from repro.workload.job import JobRuntime
 
-
-@dataclass(frozen=True, slots=True)
-class TaskId:
-    """Run-scoped task identity: (run token, sequence within the run).
-
-    Hashable and totally ordered within a run; equal across processes for
-    the same simulation (the token derives from the run's inputs, the
-    sequence from creation order, both deterministic).
-    """
-
-    run_token: str
-    seq: int
+__all__ = ["Task"]
 
 
-class _TaskIdAllocator:
-    """Allocates :class:`TaskId` values for one run scope."""
-
-    __slots__ = ("run_token", "_counter")
-
-    def __init__(self, run_token: str):
-        self.run_token = run_token
-        self._counter = itertools.count()
-
-    def next_id(self) -> TaskId:
-        return TaskId(run_token=self.run_token, seq=next(self._counter))
-
-
-#: Tasks created outside any run scope (ad-hoc construction in tests or
-#: scripts) fall back to a process-local scope — the pre-run-scoped
-#: behaviour, which is fine exactly because such tasks never cross runs.
-#: A ContextVar rather than a module global: should two simulations ever
-#: run concurrently in one process (threads, async), each context keeps its
-#: own allocator instead of stamping the later scope's token on both runs.
-_allocator: contextvars.ContextVar[_TaskIdAllocator] = contextvars.ContextVar(
-    "task_id_allocator", default=_TaskIdAllocator("proc")
-)
-
-
-def _next_task_id() -> TaskId:
-    return _allocator.get().next_id()
-
-
-@contextmanager
-def task_run_scope(run_token: str):
-    """Allocate task ids under ``run_token``, sequence restarting at zero.
-
-    :meth:`repro.cluster.simulator.ClusterSimulator.run` wraps its event
-    loop in one scope per run, so every task of a simulation carries the
-    run's token. Scopes nest (the previous allocator is restored on exit)
-    and are isolated per execution context.
-    """
-    token = _allocator.set(_TaskIdAllocator(run_token))
-    try:
-        yield
-    finally:
-        _allocator.reset(token)
-
-
-@dataclass(slots=True)
 class Task:
     """A single schedulable task (container)."""
 
-    job_id: int
-    stage_index: int
-    operator: str
-    work_seconds: float
-    data_bytes: float
-    cpu_fraction: float
-    ram_gb: float
-    ssd_gb: float
-    task_id: TaskId = field(default_factory=_next_task_id, init=False, compare=False)
+    __slots__ = (
+        "job",
+        "operator",
+        "work_seconds",
+        "data_bytes",
+        "cpu_fraction",
+        "ram_gb",
+        "ssd_gb",
+        # Queue wait served on a crashed machine, joined into the next
+        # placement's wait; 0.0 unless the task was displaced from a queue.
+        "carried_wait",
+        # Run state, set when the task starts on a machine.
+        "machine",
+        "duration",
+        "log_row",
+        # Sequence number of the live FINISH heap entry; a crash cancels the
+        # entry by moving this on, so the stale entry is skipped when popped.
+        "finish_seq",
+    )
 
-    def __post_init__(self) -> None:
-        if self.work_seconds <= 0:
-            raise ValueError("work_seconds must be positive")
-        if self.data_bytes < 0:
-            raise ValueError("data_bytes must be non-negative")
-        if not 0.0 < self.cpu_fraction <= 1.0:
-            raise ValueError("cpu_fraction must be in (0, 1]")
+    def __init__(
+        self,
+        job: JobRuntime | None,
+        operator: str,
+        work_seconds: float,
+        data_bytes: float,
+        cpu_fraction: float,
+        ram_gb: float,
+        ssd_gb: float,
+    ):
+        self.job = job
+        self.operator = operator
+        self.work_seconds = work_seconds
+        self.data_bytes = data_bytes
+        self.cpu_fraction = cpu_fraction
+        self.ram_gb = ram_gb
+        self.ssd_gb = ssd_gb
+        self.carried_wait = 0.0
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Task({self.operator}, work={self.work_seconds:.1f}s)"

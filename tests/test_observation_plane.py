@@ -10,7 +10,6 @@ bit-identity, sku-design's resource samples served through the pool/cache,
 and the bounded LRU SimulationCache.
 """
 
-import multiprocessing
 import pickle
 
 import pytest
@@ -51,7 +50,6 @@ from repro.service import (
     execute_request,
 )
 from repro.utils.errors import ConfigurationError, ServiceError, TelemetryError
-from repro.workload.task import Task, task_run_scope
 
 ALL_BUILDS = (
     YarnLimitsBuild(max_running_containers=4, max_queued_containers=8),
@@ -652,97 +650,3 @@ class TestCacheEviction:
         assert cache.stats.evictions == 1
         cache.clear()
         assert cache.stats == type(cache.stats)(hits=0, misses=0, size=0, evictions=0)
-
-
-# ----------------------------------------------------------------------
-# Task identities: run-scoped (run token, sequence) ids
-# ----------------------------------------------------------------------
-def _make_task():
-    return Task(
-        job_id=0,
-        stage_index=0,
-        operator="extract",
-        work_seconds=10.0,
-        data_bytes=1.0,
-        cpu_fraction=0.5,
-        ram_gb=1.0,
-        ssd_gb=1.0,
-    )
-
-
-def _task_ids_in_subprocess(run_token: str, count: int) -> list:
-    """Worker-process helper: allocate ``count`` task ids under a run scope."""
-    with task_run_scope(run_token):
-        return [_make_task().task_id for _ in range(count)]
-
-
-class TestTaskIdentities:
-    def test_ids_are_unique_and_monotonic_within_a_run(self):
-        with task_run_scope("run/a"):
-            ids = [_make_task().task_id for _ in range(100)]
-        assert len(set(ids)) == len(ids)
-        assert [t.seq for t in ids] == list(range(100))
-        assert all(t.run_token == "run/a" for t in ids)
-
-    def test_task_id_does_not_affect_equality(self):
-        assert _make_task() == _make_task()
-
-    def test_same_run_restarts_the_sequence_different_runs_never_collide(self):
-        with task_run_scope("run/a"):
-            first = [_make_task().task_id for _ in range(5)]
-        with task_run_scope("run/a"):
-            replay = [_make_task().task_id for _ in range(5)]
-        with task_run_scope("run/b"):
-            other = [_make_task().task_id for _ in range(5)]
-        # Replaying the same run reproduces the same identities; a different
-        # run shares none of them.
-        assert replay == first
-        assert not set(other) & set(first)
-
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="cross-process id check pickles a test-module helper (needs fork)",
-    )
-    def test_ids_are_stable_across_worker_processes(self):
-        """The PR-3 hazard, regressed: a process-monotonic counter gives two
-        pool workers colliding ids for *different* runs, and different ids
-        for the *same* run replayed elsewhere. Run-scoped ids invert both."""
-        import concurrent.futures
-
-        with task_run_scope("run/x"):
-            local = [_make_task().task_id for _ in range(8)]
-        context = multiprocessing.get_context("fork")
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=2, mp_context=context
-        ) as executor:
-            remote_same = executor.submit(_task_ids_in_subprocess, "run/x", 8)
-            remote_other = executor.submit(_task_ids_in_subprocess, "run/y", 8)
-            assert remote_same.result() == local
-            assert not set(remote_other.result()) & set(local)
-
-    def test_simulator_run_tokens_derive_from_the_seed(self):
-        from repro.cluster import ClusterSimulator
-        from repro.utils.rng import RngStreams
-        from repro.workload import WorkloadGenerator, default_templates
-
-        def build(seed: int) -> ClusterSimulator:
-            workload = WorkloadGenerator(
-                default_templates(), jobs_per_hour=10.0, streams=RngStreams(0)
-            ).generate(1.0)
-            return ClusterSimulator(
-                build_cluster(small_fleet_spec()), workload, streams=RngStreams(seed)
-            )
-
-        # Same inputs → the same token in any process; different seeds →
-        # disjoint token (and therefore id) spaces.
-        assert build(5).run_token == build(5).run_token
-        assert build(5).run_token != build(6).run_token
-        explicit = ClusterSimulator(
-            build_cluster(small_fleet_spec()),
-            WorkloadGenerator(
-                default_templates(), jobs_per_hour=10.0, streams=RngStreams(0)
-            ).generate(1.0),
-            streams=RngStreams(5),
-            run_token="pinned",
-        )
-        assert explicit.run_token == "pinned"

@@ -1,5 +1,8 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+from collections import Counter
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,15 +10,25 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 from scipy.optimize import linprog
 
-from repro.cluster.config import GroupLimits
+from repro.cluster import (
+    ClusterSimulator,
+    SimulationConfig,
+    build_cluster,
+    small_fleet_spec,
+)
+from repro.cluster.config import GroupLimits, YarnConfig
 from repro.cluster.machine import Machine
 from repro.cluster.power import throttle_factor
+from repro.cluster.simulator import _FINISH, _RETRY
 from repro.cluster.sku import DEFAULT_SKUS
 from repro.cluster.software import SC1, SC2
+from repro.faults import FaultInjector, FaultPlan, MachineSelector, OutageSpec, StragglerSpec
 from repro.ml import HuberRegressor, LinearRegression
 from repro.optim.simplex import simplex_solve
 from repro.stats.distributions import student_t_cdf
 from repro.telemetry.views import ecdf
+from repro.utils.rng import RngStreams
+from repro.workload import JobRuntime, WorkloadGenerator, default_templates
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -182,3 +195,113 @@ class TestTaskDurationProperties:
             machine.start_task(0.0, 0.9, 1.0, 5.0, 1e8, work)
         loaded = machine.task_duration(work)
         assert loaded >= baseline - 1e-9
+
+
+_selectors = st.one_of(
+    st.builds(MachineSelector, subcluster=st.integers(min_value=0, max_value=2)),
+    st.builds(
+        MachineSelector,
+        sku=st.sampled_from(["Gen 1.1", "Gen 2.2", "Gen 4.1"]),
+        fraction=st.floats(min_value=0.1, max_value=1.0),
+    ),
+)
+_hours = st.floats(min_value=0.0, max_value=1.8)
+_fault_plans = st.builds(
+    FaultPlan,
+    outages=st.lists(
+        st.builds(
+            OutageSpec,
+            at_hour=_hours,
+            duration_hours=st.floats(min_value=0.05, max_value=1.5),
+            selector=_selectors,
+            recovery_jitter_hours=st.floats(min_value=0.0, max_value=0.5),
+        ),
+        max_size=3,
+    ).map(tuple),
+    stragglers=st.lists(
+        st.builds(
+            StragglerSpec,
+            at_hour=_hours,
+            duration_hours=st.floats(min_value=0.05, max_value=1.5),
+            slowdown=st.floats(min_value=1.1, max_value=4.0),
+            selector=_selectors,
+        ),
+        max_size=2,
+    ).map(tuple),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+
+
+class TestSimulatorConservation:
+    """Tasks are conserved across crashes, requeues and backpressure.
+
+    Crash cancellation is lazy: a crashed machine's FINISH entries stay in
+    the heap and are skipped when popped. If a requeued task could revive
+    such a stale entry it would finish twice, which breaks both laws below.
+    """
+
+    @given(
+        plan=_fault_plans,
+        jobs_per_hour=st.floats(min_value=60.0, max_value=400.0),
+        max_running=st.integers(min_value=2, max_value=6),
+        max_queued=st.integers(min_value=0, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_every_task_is_finished_running_queued_or_retrying(
+        self, plan, jobs_per_hour, max_running, max_queued, seed
+    ):
+        hours = 2.0
+        config = YarnConfig(
+            default_limits=GroupLimits(
+                max_running_containers=max_running, max_queued_containers=max_queued
+            )
+        )
+        cluster = build_cluster(small_fleet_spec(), config)
+        workload = WorkloadGenerator(
+            default_templates(), jobs_per_hour=jobs_per_hour, streams=RngStreams(seed)
+        ).generate(hours)
+        simulator = ClusterSimulator(
+            cluster, workload, streams=RngStreams(seed + 1),
+            config=SimulationConfig(placement_retry_s=120.0),
+        )
+        FaultInjector(plan).schedule_on(simulator)
+
+        jobs: dict[int, JobRuntime] = {}
+        finishes: Counter = Counter()
+        start_next_stage = JobRuntime.start_next_stage
+        on_task_finish = JobRuntime.on_task_finish
+
+        def recording_start(job, rng):
+            jobs[job.job_id] = job
+            return start_next_stage(job, rng)
+
+        def counting_finish(job, finish_time, duration, log_row):
+            finishes[job.job_id] += 1
+            return on_task_finish(job, finish_time, duration, log_row)
+
+        with (
+            patch.object(JobRuntime, "start_next_stage", recording_start),
+            patch.object(JobRuntime, "on_task_finish", counting_finish),
+        ):
+            result = simulator.run(hours)
+
+        outstanding: Counter = Counter()
+        for _time, kind, seq, payload in simulator._heap:
+            if kind == _FINISH and payload.finish_seq == seq:
+                outstanding[payload.job.job_id] += 1  # running
+            elif kind == _RETRY:
+                outstanding[payload.job.job_id] += 1  # deferred
+        for machine in cluster.machines:
+            for entry in machine.queue:
+                outstanding[entry.task.job.job_id] += 1  # queued
+
+        assert result.jobs_completed == sum(job.finished for job in jobs.values())
+        for job_id, job in jobs.items():
+            if job.finished:
+                assert finishes[job_id] == job.n_tasks_total
+                assert outstanding[job_id] == 0
+            else:
+                assert job.remaining_in_stage == outstanding[job_id]
+                stage_size = job.n_tasks_total - finishes[job_id]
+                assert stage_size == job.remaining_in_stage

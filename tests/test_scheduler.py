@@ -13,9 +13,17 @@ from repro.workload.task import Task
 
 def make_task():
     return Task(
-        job_id=0, stage_index=0, operator="Process", work_seconds=100.0,
+        job=None, operator="Process", work_seconds=100.0,
         data_bytes=1e9, cpu_fraction=0.8, ram_gb=2.0, ssd_gb=10.0,
     )
+
+
+def queue_host(cluster, task):
+    """The one machine whose container queue holds ``task``."""
+    (machine,) = [
+        m for m in cluster.machines if any(q.task is task for q in m.queue)
+    ]
+    return machine
 
 
 def tiny_cluster(max_containers=2, queue_limit=1_000_000):
@@ -32,8 +40,10 @@ class TestPlacement:
     def test_places_on_free_machine(self):
         cluster = tiny_cluster()
         scheduler = YarnScheduler(cluster, seed=1)
-        result = scheduler.place(make_task(), now=0.0)
-        assert result.started and not result.queued
+        task = make_task()
+        machine = scheduler.place(task, now=0.0)
+        assert machine is not None and not machine.queue
+        assert scheduler.queued_placements == 0
 
     def test_placement_spreads_across_machines(self):
         """With everything free, placements should hit many machines."""
@@ -41,8 +51,8 @@ class TestPlacement:
         scheduler = YarnScheduler(cluster, seed=1)
         hits = set()
         for _ in range(300):
-            result = scheduler.place(make_task(), now=0.0)
-            hits.add(result.machine.machine_id)
+            machine = scheduler.place(make_task(), now=0.0)
+            hits.add(machine.machine_id)
         assert len(hits) > len(cluster.machines) * 0.9
 
     def test_full_machine_leaves_available_set(self):
@@ -50,30 +60,31 @@ class TestPlacement:
         scheduler = YarnScheduler(cluster, seed=1)
         n = len(cluster.machines)
         for _ in range(n):
-            result = scheduler.place(make_task(), now=0.0)
-            assert result.started
-            result.machine.start_task(0.0, 0.8, 2.0, 10.0, 1e9, 100.0)
-            scheduler.note_started(result.machine)
+            machine = scheduler.place(make_task(), now=0.0)
+            assert machine is not None
+            machine.start_task(0.0, 0.8, 2.0, 10.0, 1e9, 100.0)
+            scheduler.note_started(machine)
         assert scheduler.free_slot_machines == 0
 
     def test_saturated_cluster_queues(self):
         cluster = tiny_cluster(max_containers=1)
         scheduler = YarnScheduler(cluster, seed=1)
         for _ in range(len(cluster.machines)):
-            result = scheduler.place(make_task(), now=0.0)
-            result.machine.start_task(0.0, 0.8, 2.0, 10.0, 1e9, 100.0)
-            scheduler.note_started(result.machine)
-        overflow = scheduler.place(make_task(), now=0.0)
-        assert overflow.queued and not overflow.started
+            machine = scheduler.place(make_task(), now=0.0)
+            machine.start_task(0.0, 0.8, 2.0, 10.0, 1e9, 100.0)
+            scheduler.note_started(machine)
+        overflow = make_task()
+        assert scheduler.place(overflow, now=0.0) is None
+        assert queue_host(cluster, overflow).queue[-1].enqueue_time == 0.0
         assert scheduler.queued_placements == 1
 
     def test_full_queues_everywhere_raises(self):
         cluster = tiny_cluster(max_containers=1, queue_limit=0)
         scheduler = YarnScheduler(cluster, seed=1)
         for _ in range(len(cluster.machines)):
-            result = scheduler.place(make_task(), now=0.0)
-            result.machine.start_task(0.0, 0.8, 2.0, 10.0, 1e9, 100.0)
-            scheduler.note_started(result.machine)
+            machine = scheduler.place(make_task(), now=0.0)
+            machine.start_task(0.0, 0.8, 2.0, 10.0, 1e9, 100.0)
+            scheduler.note_started(machine)
         with pytest.raises(SchedulingError):
             scheduler.place(make_task(), now=0.0)
 
@@ -111,18 +122,18 @@ class TestSlotSetMaintenance:
         cluster_b = tiny_cluster()
         sched_a = YarnScheduler(cluster_a, seed=9)
         sched_b = YarnScheduler(cluster_b, seed=9)
-        picks_a = [sched_a.place(make_task(), 0.0).machine.machine_id for _ in range(20)]
-        picks_b = [sched_b.place(make_task(), 0.0).machine.machine_id for _ in range(20)]
+        picks_a = [sched_a.place(make_task(), 0.0).machine_id for _ in range(20)]
+        picks_b = [sched_b.place(make_task(), 0.0).machine_id for _ in range(20)]
         assert picks_a == picks_b
 
 
 def saturate(cluster, scheduler):
     """Start one task on every machine of a max_containers=1 cluster."""
     for _ in range(len(cluster.machines)):
-        result = scheduler.place(make_task(), now=0.0)
-        assert result.started
-        result.machine.start_task(0.0, 0.8, 2.0, 10.0, 1e9, 100.0)
-        scheduler.note_started(result.machine)
+        machine = scheduler.place(make_task(), now=0.0)
+        assert machine is not None
+        machine.start_task(0.0, 0.8, 2.0, 10.0, 1e9, 100.0)
+        scheduler.note_started(machine)
 
 
 class TestQueueSpaceSet:
@@ -136,9 +147,9 @@ class TestQueueSpaceSet:
         cluster = tiny_cluster(max_containers=1)
         scheduler = YarnScheduler(cluster, seed=3)
         saturate(cluster, scheduler)
-        queued = scheduler.place(make_task(), now=0.0)
-        machine = queued.machine
-        assert queued.queued and machine.queue
+        queued = make_task()
+        assert scheduler.place(queued, now=0.0) is None
+        machine = queue_host(cluster, queued)
         assert scheduler.free_slot_machines == 0
         # The running task finishes; the simulator's finish path drains the
         # queue (the queued task starts, refilling the slot) and refreshes.
@@ -164,8 +175,7 @@ class TestQueueSpaceSet:
         # Queue one task everywhere: each placement consumes the target's
         # only queue slot (probes or the O(1) fallback, never an O(n) scan).
         for _ in range(n):
-            result = scheduler.place(make_task(), now=0.0)
-            assert result.queued
+            assert scheduler.place(make_task(), now=0.0) is None
         assert scheduler.queue_space_machines == 0
         with pytest.raises(SchedulingError):
             scheduler.place(make_task(), now=0.0)
@@ -174,8 +184,9 @@ class TestQueueSpaceSet:
         machine.dequeue(5.0)
         scheduler.refresh_machine(machine)
         assert scheduler.queue_space_machines == 1
-        follow_up = scheduler.place(make_task(), now=5.0)
-        assert follow_up.queued and follow_up.machine is machine
+        follow_up = make_task()
+        assert scheduler.place(follow_up, now=5.0) is None
+        assert queue_host(cluster, follow_up) is machine
 
     def test_fallback_draw_leaves_placement_stream_untouched(self):
         # The legacy fallback was a deterministic scan consuming nothing
@@ -191,14 +202,15 @@ class TestQueueSpaceSet:
         for _ in range(len(machines)):
             clone = random.Random()
             clone.setstate(scheduler._rng.getstate())
-            result = scheduler.place(make_task(), now=0.0)
-            assert result.queued
+            task = make_task()
+            assert scheduler.place(task, now=0.0) is None
+            chosen = queue_host(cluster, task)
             for _probe in range(YarnScheduler._QUEUE_PROBES):
                 candidate = machines[clone.randrange(len(machines))]
                 # The chosen machine had space at probe time (its queue
                 # filled only after the pick); everyone else's state is
                 # unchanged since the probe.
-                if candidate is result.machine or candidate.has_queue_space:
+                if candidate is chosen or candidate.has_queue_space:
                     break
             else:
                 fallback_fired += 1

@@ -145,13 +145,39 @@ class TestValidation:
             simulator.run(0.0)
 
     def test_sample_rate_validation(self):
-        """Out-of-range sample rates are rejected when the log is built."""
+        """Out-of-range sample rates are rejected before any run."""
         _, simulator, _ = quick_sim(
             sim_config=SimulationConfig(task_log_sample_rate=0.5)
         )
         assert simulator.result.task_log.sample_rate == 0.5
         with pytest.raises(ValueError):
             quick_sim(sim_config=SimulationConfig(task_log_sample_rate=1.5))
+
+
+class TestSimulationConfigValidation:
+    """Bad knobs fail at construction, not mid-run (or never)."""
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            # A zero delay re-pushes RETRY events at one instant forever.
+            {"placement_retry_s": 0.0},
+            {"placement_retry_s": -5.0},
+            {"placement_retry_s": float("nan")},
+            {"task_log_sample_rate": -1.0},
+            {"task_log_sample_rate": 1.5},
+            {"resource_sample_period_s": -60.0},
+            {"resource_sample_machines": -1},
+        ],
+    )
+    def test_out_of_range_knobs_rejected(self, knobs):
+        with pytest.raises(ValueError):
+            SimulationConfig(**knobs)
+
+    def test_defaults_and_boundaries_accepted(self):
+        SimulationConfig()
+        SimulationConfig(task_log_sample_rate=1.0, resource_sample_period_s=0.0,
+                         resource_sample_machines=0, placement_retry_s=1e-3)
 
 
 class TestCriticalPath:

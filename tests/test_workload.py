@@ -1,5 +1,7 @@
 """Tests for operators, templates, seasonality, and the workload generator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.utils.rng import RngStreams
 from repro.workload import (
     FLAT_PROFILE,
     OPERATORS,
+    JobRuntime,
     JobTemplate,
     SeasonalityProfile,
     StageSpec,
@@ -53,11 +56,41 @@ class TestOperators:
 
 
 class TestTask:
-    def test_validation(self):
+    """Task parameters are validated once per stage, when it materializes."""
+
+    @staticmethod
+    def _job():
+        template = default_templates()[0]
+        return JobRuntime(0, template, 0.0, np.random.default_rng(0))
+
+    def test_validation(self, monkeypatch):
+        import repro.workload.job as job_module
+
+        def sampler(bad_work, bad_data):
+            def sample(op, n_tasks, rng, work_scale=1.0, data_scale=1.0):
+                work = np.full(n_tasks, 10.0)
+                data = np.full(n_tasks, 1e9)
+                work[-1], data[-1] = bad_work, bad_data
+                return work, data, np.ones(n_tasks), np.ones(n_tasks)
+            return sample
+
+        for bad_work, bad_data in ((-1.0, 1e9), (np.nan, 1e9), (10.0, -1.0)):
+            monkeypatch.setattr(
+                job_module, "sample_task_params", sampler(bad_work, bad_data)
+            )
+            with pytest.raises(ValueError):
+                self._job().start_next_stage(np.random.default_rng(1))
         with pytest.raises(ValueError):
-            Task(0, 0, "Process", -1.0, 1e9, 0.8, 2.0, 10.0)
-        with pytest.raises(ValueError):
-            Task(0, 0, "Process", 10.0, 1e9, 1.5, 2.0, 10.0)
+            replace(operator_by_name("Process"), cpu_fraction=1.5)
+
+    def test_stage_tasks_carry_their_job_and_plain_floats(self):
+        job = self._job()
+        tasks = job.start_next_stage(np.random.default_rng(1))
+        assert job.remaining_in_stage == len(tasks) > 0
+        assert all(task.job is job for task in tasks)
+        assert all(type(task.work_seconds) is float for task in tasks)
+        assert all(task.carried_wait == 0.0 for task in tasks)
+        assert not hasattr(tasks[0], "__dict__")  # plain slotted class
 
 
 class TestTemplates:
