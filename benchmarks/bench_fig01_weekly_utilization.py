@@ -34,7 +34,7 @@ def weekly_run():
     ).generate(168.0)
     simulator = ClusterSimulator(cluster, workload, streams=RngStreams(12))
     result = simulator.run(168.0)
-    return PerformanceMonitor(result.records)
+    return PerformanceMonitor(result.frame)
 
 
 def test_fig01_weekly_utilization(benchmark, weekly_run):

@@ -56,7 +56,7 @@ def production_run():
         ),
     )
     result = simulator.run(24.0)
-    return cluster, result, PerformanceMonitor(result.records)
+    return cluster, result, PerformanceMonitor(result.frame)
 
 
 @pytest.fixture(scope="session")

@@ -91,22 +91,22 @@ class QueueTuner:
         self.max_limit = max_limit
 
     def measure(self, monitor: PerformanceMonitor) -> list[QueueGroupStats]:
-        """Aggregate queue telemetry per machine group."""
+        """Aggregate queue telemetry per machine group (masks keep row order)."""
+        frame = monitor.frame
+        combined, labels = frame.group_codes()
+        wait_group = np.repeat(combined, np.diff(frame.wait_offsets()))
+        flat_waits = frame.waits_flat()
         stats: list[QueueGroupStats] = []
-        for group, group_monitor in monitor.by_group().items():
-            records = group_monitor.records
-            waits: list[float] = []
-            for record in records:
-                waits.extend(record.queue.waits)
-            avg_len = float(np.mean([r.queue.avg_length for r in records]))
-            tasks_per_hour = float(np.mean([r.tasks_finished for r in records]))
+        for code in sorted(np.unique(combined).tolist(), key=labels.__getitem__):
+            rows = combined == code
+            waits = flat_waits[wait_group == code]
             stats.append(
                 QueueGroupStats(
-                    group=group,
-                    avg_queue_length=avg_len,
-                    p99_wait_seconds=float(np.percentile(waits, 99)) if waits else 0.0,
-                    mean_wait_seconds=float(np.mean(waits)) if waits else 0.0,
-                    dequeue_rate_per_hour=tasks_per_hour,
+                    group=labels[code],
+                    avg_queue_length=float(np.mean(frame.column("queue_avg_length")[rows])),
+                    p99_wait_seconds=float(np.percentile(waits, 99)) if len(waits) else 0.0,
+                    mean_wait_seconds=float(np.mean(waits)) if len(waits) else 0.0,
+                    dequeue_rate_per_hour=float(np.mean(frame.column("tasks_finished")[rows])),
                 )
             )
         if not stats:
@@ -252,12 +252,8 @@ class QueueTuningApplication(TuningApplication):
 
     @staticmethod
     def _mean_wait(observation) -> float:
-        waits = [
-            wait
-            for record in observation.monitor.records
-            for wait in record.queue.waits
-        ]
-        return float(np.mean(waits)) if waits else 0.0
+        waits = observation.monitor.frame.waits_flat()
+        return float(np.mean(waits)) if len(waits) else 0.0
 
     def evaluate(self, before, after) -> TuningOutcome:
         """Observed queueing delay must not grow under the new limits."""

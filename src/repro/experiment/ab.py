@@ -147,8 +147,9 @@ def compare_time_slices(
         if s.variant == "experiment"
         for h in range(int(s.start_hour), int(s.end_hour))
     }
-    control = monitor.filter(predicate=lambda r: r.hour in control_hours)
-    experiment = monitor.filter(predicate=lambda r: r.hour in experiment_hours)
+    hours = monitor.hours()
+    control = PerformanceMonitor(monitor.frame.take(np.isin(hours, list(control_hours))))
+    experiment = PerformanceMonitor(monitor.frame.take(np.isin(hours, list(experiment_hours))))
     if len(control) < 2 or len(experiment) < 2:
         raise ExperimentError(f"time-sliced experiment {name!r} lacks telemetry")
     comparisons = []

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.cluster.simulator import ClusterSimulator
 from repro.telemetry.monitor import PerformanceMonitor
 
@@ -55,9 +57,9 @@ class LatencyRegressionGate(SafetyGate):
 
     def evaluate(self, simulator: ClusterSimulator) -> GateVerdict:
         monitor = PerformanceMonitor(simulator.result.frame)
-        if not monitor.records:
+        if not len(monitor):
             return GateVerdict(passed=True, reason="no telemetry yet")
-        hours_seen = sorted({r.hour for r in monitor.records})
+        hours_seen = np.unique(monitor.frame.column("hour")).tolist()
         if len(hours_seen) < 2 * self.window_hours:
             return GateVerdict(passed=True, reason="insufficient history for gate")
         baseline = monitor.filter(hour_range=(hours_seen[0], hours_seen[0] + self.window_hours))

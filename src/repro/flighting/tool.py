@@ -54,17 +54,6 @@ class FlightReport:
                 return entry
         raise KeyError(f"metric {metric!r} was not measured for {self.flight_name!r}")
 
-    def all_safe(self, guard_metrics: dict[str, float]) -> bool:
-        """True when no guarded metric degraded beyond its allowance.
-
-        ``guard_metrics`` maps metric name → maximum allowed relative
-        *increase* (e.g. ``{"AverageTaskSeconds": 0.02}`` tolerates +2%).
-        """
-        for metric, allowance in guard_metrics.items():
-            if self.impact(metric).relative_change > allowance:
-                return False
-        return True
-
 
 class FlightingTool:
     """Registers flights on a simulator and evaluates them afterwards."""
@@ -93,18 +82,17 @@ class FlightingTool:
         flight_ids = flight.machine_ids
         end_hour = flight.end_hour
         if end_hour is None:
-            end_hour = max((r.hour for r in monitor.records), default=0) + 1
+            end_hour = int(monitor.frame.column("hour").max(initial=0)) + 1
         window = (int(flight.start_hour), int(end_hour))
         in_window = monitor.filter(hour_range=window)
 
         flighted = in_window.filter(machine_ids=flight_ids)
         if control_ids is None:
-            flight_groups = flight.control_groups
-            control_ids = {
-                r.machine_id
-                for r in in_window.records
-                if r.machine_id not in flight_ids and r.group in flight_groups
-            }
+            ids = in_window.frame.column("machine_id")
+            candidates = np.isin(
+                in_window.frame.group_labels(), list(flight.control_groups)
+            ) & ~np.isin(ids, list(flight_ids))
+            control_ids = set(ids[candidates].tolist())
         control = in_window.filter(machine_ids=control_ids)
         if len(flighted) < 2 or len(control) < 2:
             raise ExperimentError(

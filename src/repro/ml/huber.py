@@ -23,6 +23,17 @@ __all__ = ["HuberRegressor"]
 _MAD_TO_SIGMA = 1.4826  # MAD of a normal distribution → its sigma
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a finite 1-D array (``_validate`` ensures finite),
+    without its generic axis and NaN handling, which dominate IRLS."""
+    ordered = values.copy()
+    ordered.sort()
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[mid])
+    return (float(ordered[mid - 1]) + float(ordered[mid])) / 2.0
+
+
 class HuberRegressor(LinearModelBase):
     """Robust 1-D affine regression with Huber loss."""
 
@@ -43,7 +54,7 @@ class HuberRegressor(LinearModelBase):
         slope, intercept = self._weighted_fit(x, y, np.ones_like(x))
         for iteration in range(self.max_iter):
             residuals = y - (intercept + slope * x)
-            mad = float(np.median(np.abs(residuals - np.median(residuals))))
+            mad = _median(np.abs(residuals - _median(residuals)))
             scale = _MAD_TO_SIGMA * mad
             if scale < 1e-12:
                 # (Near-)exact fit for >50% of points; weights would blow up.

@@ -8,7 +8,7 @@ aggregated at the daily level for a machine").
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +19,16 @@ from repro.telemetry.records import MachineHourRecord
 from repro.utils.errors import TelemetryError
 
 __all__ = ["MachineDayRecord", "MonitorSnapshot", "PerformanceMonitor"]
+
+#: ``MachineDayRecord`` fields reduced from the same-named hour column, in order.
+_DAY_REDUCTIONS = (
+    ("cpu_utilization", np.mean),
+    ("avg_running_containers", np.mean),
+    ("total_data_read_bytes", np.sum),
+    ("tasks_finished", np.sum),
+    ("total_task_seconds", np.sum),
+    ("total_cpu_seconds", np.sum),
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,11 +113,10 @@ class PerformanceMonitor:
     """A queryable collection of machine-hour observations.
 
     Backed by a columnar :class:`~repro.telemetry.frame.MachineHourFrame`:
-    filtering and metric extraction are mask-based column operations, while
-    :attr:`records` exposes the frame's lazy, cached record materialization
-    for per-record consumers. Accepts either a frame (taken by reference —
-    the simulator's output is shared, not copied) or any iterable of
-    records (ingested into a fresh frame).
+    filtering, grouping, metric extraction and daily aggregation are all
+    column operations. Accepts either a frame (taken by reference — the
+    simulator's output is shared, not copied) or any iterable of records
+    (ingested into a fresh frame).
     """
 
     def __init__(
@@ -118,22 +127,8 @@ class PerformanceMonitor:
         else:
             self.frame = MachineHourFrame.from_records(records)
 
-    @property
-    def records(self) -> list[MachineHourRecord]:
-        """Record-level view of the frame (lazy, cached until mutation)."""
-        return self.frame.to_records()
-
     def __len__(self) -> int:
         return len(self.frame)
-
-    def add(self, record: MachineHourRecord) -> None:
-        """Append one record."""
-        self.frame.append_record(record)
-
-    def extend(self, records: Iterable[MachineHourRecord]) -> None:
-        """Append many records."""
-        for record in records:
-            self.frame.append_record(record)
 
     # ------------------------------------------------------------------
     # Filtering / grouping
@@ -145,13 +140,11 @@ class PerformanceMonitor:
         software: str | None = None,
         hour_range: tuple[int, int] | None = None,
         machine_ids: set[int] | None = None,
-        predicate: Callable[[MachineHourRecord], bool] | None = None,
     ) -> "PerformanceMonitor":
         """Return a new monitor restricted to matching records.
 
         ``hour_range`` is half-open ``[start, end)``. All criteria AND
-        together into one boolean mask over the frame (row order preserved);
-        only ``predicate`` falls back to per-record evaluation.
+        together into one boolean mask over the frame (row order preserved).
         """
         frame = self.frame
         mask = np.ones(len(frame), dtype=bool)
@@ -168,19 +161,13 @@ class PerformanceMonitor:
         if machine_ids is not None:
             ids = np.fromiter(machine_ids, dtype=np.int64, count=len(machine_ids))
             mask &= np.isin(frame.column("machine_id"), ids)
-        if predicate is not None:
-            records = frame.to_records()
-            mask &= np.fromiter(
-                (predicate(r) for r in records), dtype=bool, count=len(records)
-            )
         if mask.all():
             return PerformanceMonitor(frame)
         return PerformanceMonitor(frame.take(mask))
 
     def _label_mask(self, column: str, value: str) -> np.ndarray:
-        code = self.frame.categories(column).index(value) if (
-            value in self.frame.categories(column)
-        ) else -1
+        categories = self.frame.categories(column)
+        code = categories.index(value) if value in categories else -1
         return self.frame.codes(column) == code
 
     def _group_mask(self, label: str) -> np.ndarray:
@@ -223,7 +210,7 @@ class PerformanceMonitor:
         if metric.extract_columns is not None:
             return metric.extract_columns(self.frame).astype(float)
         extract = metric.extract
-        return np.array([extract(r) for r in self.records], dtype=float)
+        return np.array([extract(r) for r in self.frame.to_records()], dtype=float)
 
     def hours(self) -> np.ndarray:
         """The ``hour`` field across all records."""
@@ -237,43 +224,55 @@ class PerformanceMonitor:
 
         Machine-days observed fewer than ``min_hours`` hours are dropped:
         partially observed days (e.g. around a flight boundary) would
-        otherwise bias sums like Total Data Read downward.
+        otherwise bias sums like Total Data Read downward. A bucket holds at
+        most 24 hours, so ``min_hours`` must lie in ``[1, 24]``.
+
+        Buckets are (machine, group label, day) in sorted order — a machine
+        re-imaged mid-window (SC flips) must not mix its SC1 and SC2 hours —
+        with frame order kept inside each. Equal-size buckets are reduced as
+        the rows of one 2-D array: numpy sums each contiguous row with the
+        same pairwise kernel as a 1-D array, so results are bit-identical to
+        reducing each bucket alone (padding to one width would not be).
         """
-        if min_hours < 1:
-            raise TelemetryError("min_hours must be >= 1")
-        # Bucket by group as well as machine: a machine re-imaged mid-window
-        # (SC flip experiments) must not mix its SC1 and SC2 hours.
-        buckets: dict[tuple[int, str, int], list[MachineHourRecord]] = {}
-        for record in self.records:
-            key = (record.machine_id, record.group, record.hour // 24)
-            buckets.setdefault(key, []).append(record)
-        aggregates: list[MachineDayRecord] = []
-        for (machine_id, _group, day), rows in sorted(buckets.items()):
-            if len(rows) < min_hours:
-                continue
-            first = rows[0]
-            aggregates.append(
-                MachineDayRecord(
-                    machine_id=machine_id,
-                    sku=first.sku,
-                    software=first.software,
-                    day=day,
-                    cpu_utilization=float(np.mean([r.cpu_utilization for r in rows])),
-                    avg_running_containers=float(
-                        np.mean([r.avg_running_containers for r in rows])
-                    ),
-                    total_data_read_bytes=float(
-                        np.sum([r.total_data_read_bytes for r in rows])
-                    ),
-                    tasks_finished=int(np.sum([r.tasks_finished for r in rows])),
-                    total_task_seconds=float(
-                        np.sum([r.total_task_seconds for r in rows])
-                    ),
-                    total_cpu_seconds=float(np.sum([r.total_cpu_seconds for r in rows])),
-                    hours_observed=len(rows),
-                )
+        if not 1 <= min_hours <= 24:
+            raise TelemetryError(f"min_hours must be in [1, 24], got {min_hours}")
+        frame = self.frame
+        if not len(frame):
+            return []
+        combined, labels = frame.group_codes()
+        rank = {label: i for i, label in enumerate(sorted(labels))}
+        group = np.array([rank[label] for label in labels], dtype=np.int64)
+        keys = np.stack((frame.column("machine_id"), group[combined], frame.column("hour") // 24))
+        order = np.lexsort(keys[::-1])
+        keys = keys[:, order]
+        starts = np.flatnonzero(np.r_[True, (keys[:, 1:] != keys[:, :-1]).any(axis=0)])
+        sizes = np.diff(np.r_[starts, len(order)])
+        keep = sizes >= min_hours
+        starts, sizes = starts[keep], sizes[keep]
+
+        reduced = {
+            name: np.empty(len(starts), dtype=frame.column(name).dtype)
+            for name, _ in _DAY_REDUCTIONS
+        }
+        for size in np.unique(sizes).tolist():
+            selected = sizes == size
+            rows = order[starts[selected][:, None] + np.arange(size)]
+            for name, reduce in _DAY_REDUCTIONS:
+                reduced[name][selected] = reduce(frame.column(name)[rows], axis=1)
+
+        first = order[starts]
+        return [
+            MachineDayRecord(*values)
+            for values in zip(
+                keys[0, starts].tolist(),
+                frame.labels("sku")[first].tolist(),
+                frame.labels("software")[first].tolist(),
+                keys[2, starts].tolist(),
+                *(reduced[name].tolist() for name, _ in _DAY_REDUCTIONS),
+                sizes.tolist(),
+                strict=True,
             )
-        return aggregates
+        ]
 
     def cluster_average_task_latency(self) -> float:
         """Cluster-wide mean task execution time (the paper's `W̄`).

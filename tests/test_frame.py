@@ -155,21 +155,23 @@ class TestVectorizedConsumersOnLiveSimulation:
         frame, records = live
         monitor = PerformanceMonitor(frame)
         group = records[0].group
-        assert monitor.filter(group=group).records == [
+        assert monitor.filter(group=group).frame.to_records() == [
             r for r in records if r.group == group
         ]
         sku = records[0].sku
-        assert monitor.filter(sku=sku).records == [r for r in records if r.sku == sku]
-        assert monitor.filter(hour_range=(1, 4)).records == [
+        assert monitor.filter(sku=sku).frame.to_records() == [
+            r for r in records if r.sku == sku
+        ]
+        assert monitor.filter(hour_range=(1, 4)).frame.to_records() == [
             r for r in records if 1 <= r.hour < 4
         ]
         ids = {records[0].machine_id, records[-1].machine_id}
-        assert monitor.filter(machine_ids=ids).records == [
+        assert monitor.filter(machine_ids=ids).frame.to_records() == [
             r for r in records if r.machine_id in ids
         ]
-        assert monitor.filter(
-            software="SC1", predicate=lambda r: r.tasks_finished > 10
-        ).records == [
+        sc1 = monitor.filter(software="SC1").frame
+        busy = sc1.take(sc1.column("tasks_finished") > 10)
+        assert busy.to_records() == [
             r for r in records if r.software == "SC1" and r.tasks_finished > 10
         ]
 
@@ -181,7 +183,7 @@ class TestVectorizedConsumersOnLiveSimulation:
         split = monitor.by_group()
         assert list(split) == monitor.groups()
         for label, sub in split.items():
-            assert sub.records == [r for r in records if r.group == label]
+            assert sub.frame.to_records() == [r for r in records if r.group == label]
 
     def test_snapshot_and_cluster_sums_match_reference(self, live):
         frame, records = live
@@ -232,10 +234,10 @@ class TestVectorizedConsumersOnLiveSimulation:
             assert bands.p50[i] == np.percentile(hour_values, 50)
             assert bands.mean[i] == np.mean(hour_values)
 
-    def test_monitor_records_property_round_trips(self, live):
+    def test_monitor_frame_records_round_trip(self, live):
         frame, records = live
         monitor = PerformanceMonitor(frame)
-        assert monitor.records == records
+        assert monitor.frame.to_records() == records
         # Ingesting a record list produces an equal frame.
         rebuilt = PerformanceMonitor(records)
         assert rebuilt.frame == frame

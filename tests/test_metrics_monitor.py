@@ -66,9 +66,9 @@ class TestMonitorFiltering:
         monitor = self._monitor()
         assert len(monitor.filter(machine_ids={1})) == 48
 
-    def test_filter_with_predicate(self):
+    def test_filter_with_column_mask(self):
         monitor = self._monitor()
-        odd = monitor.filter(predicate=lambda r: r.hour % 2 == 1)
+        odd = PerformanceMonitor(monitor.frame.take(monitor.hours() % 2 == 1))
         assert len(odd) == 48
 
     def test_filters_compose(self):
@@ -110,6 +110,14 @@ class TestDailyAggregation:
     def test_min_hours_validation(self):
         with pytest.raises(TelemetryError):
             PerformanceMonitor([]).daily_aggregates(min_hours=0)
+
+    def test_min_hours_above_a_day_is_rejected(self):
+        # A bucket never holds more than 24 hours: 25 would drop every day.
+        records = [make_record(machine_id=0, hour=h) for h in range(24)]
+        monitor = PerformanceMonitor(records)
+        assert len(monitor.daily_aggregates(min_hours=24)) == 1
+        with pytest.raises(TelemetryError, match="min_hours"):
+            monitor.daily_aggregates(min_hours=25)
 
     def test_group_property(self):
         records = [make_record(sku="Gen 3.1", software="SC1", hour=h)

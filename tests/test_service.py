@@ -219,7 +219,7 @@ class TestScenarios:
         # After the drain hour, the group's observed concurrency collapses.
         late = [
             r.avg_running_containers
-            for r in observation.monitor.records
+            for r in observation.monitor.frame.to_records()
             if r.sku == scenario.decommission_sku
             and r.hour >= scenario.decommission_hour + 1
         ]

@@ -107,8 +107,8 @@ class TestScheduledActions:
         simulator.schedule_action(3600.0, raise_limits)
         result = simulator.run(3.0)
         monitor = PerformanceMonitor(result.records)
-        before = monitor.filter(hour_range=(0, 1)).records
-        after = monitor.filter(hour_range=(2, 3)).records
+        before = monitor.filter(hour_range=(0, 1)).frame.to_records()
+        after = monitor.filter(hour_range=(2, 3)).frame.to_records()
         assert all(r.max_running_containers == 8 for r in before)
         assert all(r.max_running_containers == 16 for r in after)
 
