@@ -1,7 +1,7 @@
 """Service bench: multi-tenant campaign wall-clock across execution backends.
 
-Runs the same four-tenant campaign three times — once on an inline (serial)
-:class:`~repro.service.SimulationPool`, once on a process pool, and once on
+Runs the same four-tenant campaign three times — once inline (serial) on a
+:class:`~repro.service.ProcessPoolBackend`, once on a process pool, and once on
 the file-spooled :class:`~repro.service.LocalQueueBackend` — and reports the
 wall-clock of each mode. Tenant simulations are independent, so on a machine
 with N ≥ 2 cores the parallel run approaches the slowest tenant's time
@@ -25,7 +25,7 @@ from repro.service import (
     ContinuousTuningService,
     FleetRegistry,
     LocalQueueBackend,
-    SimulationPool,
+    ProcessPoolBackend,
     TenantSpec,
 )
 from repro.utils.tables import TextTable
@@ -48,7 +48,7 @@ def _registry() -> FleetRegistry:
 
 def _run(max_workers: int):
     with ContinuousTuningService(
-        _registry(), pool=SimulationPool(max_workers=max_workers)
+        _registry(), backend=ProcessPoolBackend(max_workers=max_workers)
     ) as service:
         started = time.perf_counter()
         result = service.run_campaigns(scenario=SCENARIO, **CAMPAIGN_KW)
@@ -86,7 +86,7 @@ def test_bench_service_campaign(benchmark):
     warmup = FleetRegistry()
     warmup.add(TenantSpec(name="warmup", fleet_spec=small_fleet_spec(), seed=1))
     with ContinuousTuningService(
-        warmup, pool=SimulationPool(max_workers=1)
+        warmup, backend=ProcessPoolBackend(max_workers=1)
     ) as service:
         service.run_campaigns(
             scenario=SCENARIO, observe_days=0.25, impact_days=0.25, flight_hours=2.0

@@ -13,7 +13,7 @@ continuously across many clusters. This walkthrough drives that loop as a
 4. print the fleet-wide readouts and cache accounting.
 
 Tenant simulations fan out over a process pool when cores are available
-(``SimulationPool(max_workers=None)`` uses them all) and results are
+(``ProcessPoolBackend(max_workers=None)`` uses them all) and results are
 bit-identical to a serial run.
 
 Run:  python examples/continuous_tuning_service.py
@@ -24,7 +24,7 @@ import os
 from repro import (
     ContinuousTuningService,
     FleetRegistry,
-    SimulationPool,
+    ProcessPoolBackend,
     TenantSpec,
 )
 from repro.cluster import small_fleet_spec
@@ -39,7 +39,7 @@ def main() -> None:
     print(f"fleet registry: {registry.names()}  (pool workers: {workers})\n")
 
     with ContinuousTuningService(
-        registry, pool=SimulationPool(max_workers=workers)
+        registry, backend=ProcessPoolBackend(max_workers=workers)
     ) as service:
         print("=== Campaign 1: diurnal-baseline ===")
         baseline = service.run_campaigns(

@@ -4,8 +4,9 @@ A production tuning service outlives any single process: KEA's campaigns run
 for days while the service redeploys underneath them. This walkthrough shows
 the execution plane that makes a restart invisible:
 
-1. run a reference fleet campaign on the inline :class:`~repro.service.
-   SerialBackend` — the answer every other run must reproduce bit for bit;
+1. run a reference fleet campaign inline, on a
+   :class:`~repro.service.ProcessPoolBackend` with ``max_workers=1`` — the
+   answer every other run must reproduce bit for bit;
 2. launch the same campaign on the file-spooled
    :class:`~repro.service.LocalQueueBackend` with a
    :class:`~repro.service.CampaignStore` attached, and **crash** the service
@@ -27,7 +28,7 @@ from repro import (
     ContinuousTuningService,
     FleetRegistry,
     LocalQueueBackend,
-    SerialBackend,
+    ProcessPoolBackend,
     TenantSpec,
 )
 from repro.cluster import small_fleet_spec
@@ -57,9 +58,9 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 1. The uninterrupted reference, on the inline serial backend.
     # ------------------------------------------------------------------
-    print("=== 1. Reference run (SerialBackend, no interruptions) ===")
+    print("=== 1. Reference run (inline, no interruptions) ===")
     with ContinuousTuningService(
-        make_registry(), backend=SerialBackend()
+        make_registry(), backend=ProcessPoolBackend(max_workers=1)
     ) as service:
         reference = service.run_campaigns(scenario="diurnal-baseline", **CAMPAIGN_KW)
     print(reference.summary())
@@ -116,7 +117,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     print("\n=== 4. Non-blocking front-end (tenant-sharded submit/poll/drain) ===")
     with ContinuousTuningService(
-        make_registry(), backend=SerialBackend()
+        make_registry(), backend=ProcessPoolBackend(max_workers=1)
     ) as service:
         token = service.submit(scenario="diurnal-baseline", **CAMPAIGN_KW)
         snapshot = service.poll(token)  # never blocks on simulation

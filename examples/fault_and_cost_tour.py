@@ -32,7 +32,7 @@ from repro.core import Kea
 from repro.cost import default_price_book, frame_cost
 from repro.faults import FaultPlan, MachineSelector, OutageSpec, StragglerSpec
 from repro.flighting import FlightPlan, GateVerdict, SafetyGate
-from repro.service import Scenario, SerialBackend
+from repro.service import ProcessPoolBackend, Scenario
 
 OUTAGE_PLAN = FaultPlan(
     outages=(
@@ -156,7 +156,9 @@ def tenant_spend() -> None:
         registry.add(
             TenantSpec(name=name, fleet_spec=small_fleet_spec(), seed=seed)
         )
-    with ContinuousTuningService(registry, backend=SerialBackend()) as service:
+    with ContinuousTuningService(
+        registry, backend=ProcessPoolBackend(max_workers=1)
+    ) as service:
         result = service.run_campaigns(
             scenario="az-outage",
             observe_days=0.5,

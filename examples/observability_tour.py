@@ -29,7 +29,7 @@ from repro import (
     OPS_METRICS,
     ContinuousTuningService,
     FleetRegistry,
-    SimulationPool,
+    ProcessPoolBackend,
     TenantSpec,
     Tracer,
     read_trace_jsonl,
@@ -61,7 +61,7 @@ def main() -> None:
 
     tracer = Tracer(trace_id="tour/diurnal-baseline")
     with ContinuousTuningService(
-        registry, pool=SimulationPool(max_workers=2), tracer=tracer
+        registry, backend=ProcessPoolBackend(max_workers=2), tracer=tracer
     ) as service:
         result = service.run_campaigns(
             scenario="diurnal-baseline",

@@ -28,8 +28,8 @@ Run:  python examples/staged_rollout.py
 from repro import (
     ContinuousTuningService,
     FleetRegistry,
+    ProcessPoolBackend,
     RolloutPolicy,
-    SimulationPool,
     TenantSpec,
 )
 from repro.cluster import small_fleet_spec
@@ -111,7 +111,7 @@ def campaign_rollout() -> None:
         )
     )
     with ContinuousTuningService(
-        registry, pool=SimulationPool(max_workers=1)
+        registry, backend=ProcessPoolBackend(max_workers=1)
     ) as service:
         result = service.run_campaigns(
             scenario="sustained-overload",

@@ -15,7 +15,7 @@ from repro.core import APPLICATIONS, Kea
 from repro.service import (
     ContinuousTuningService,
     FleetRegistry,
-    SimulationPool,
+    ProcessPoolBackend,
     TenantSpec,
 )
 
@@ -54,7 +54,7 @@ def main() -> None:
         )
     )
     with ContinuousTuningService(
-        registry, pool=SimulationPool(max_workers=1)
+        registry, backend=ProcessPoolBackend(max_workers=1)
     ) as service:
         result = service.run_campaigns(
             scenario="diurnal-baseline",

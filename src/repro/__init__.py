@@ -94,9 +94,7 @@ from repro.service import (
     ProcessPoolBackend,
     Scenario,
     ScenarioCatalog,
-    SerialBackend,
     SimulationCache,
-    SimulationPool,
     TenantSpec,
     default_catalog,
 )
@@ -146,7 +144,6 @@ __all__ = [
     "CampaignStore",
     "ContinuousTuningService",
     "ExecutionBackend",
-    "SerialBackend",
     "ProcessPoolBackend",
     "LocalQueueBackend",
     "FleetCampaignReport",
@@ -154,7 +151,6 @@ __all__ = [
     "Scenario",
     "ScenarioCatalog",
     "SimulationCache",
-    "SimulationPool",
     "TenantSpec",
     "default_catalog",
 ]

@@ -1,7 +1,7 @@
 """REP003 — pickle-hostile state on pool/spool-crossing dataclasses.
 
 Requests, scenarios, fault plans, and config builds cross process
-boundaries (``SimulationPool`` workers) and the file spool
+boundaries (``ProcessPoolBackend`` workers) and the file spool
 (``LocalQueueBackend``), so every one of them must pickle cleanly. The
 constructs that break that do so only at runtime — and only on the first
 parallel or durable run, long after the field was added. This rule flags

@@ -93,7 +93,7 @@ class Histogram:
 class MetricsRegistry:
     """Label-aware get-or-create store of service metrics.
 
-    ``counter("pool.requests", kind="observe")`` returns the same
+    ``counter("backend.failures", kind="observe")`` returns the same
     :class:`Counter` on every call with the same name and labels; asking for
     an existing name with a different metric type is an error rather than a
     silent shadow.

@@ -13,12 +13,11 @@ KEA's value comes from running observe → calibrate → tune → flight → dep
   transitions and rollback on regressing deployments, driving any
   registered :class:`~repro.core.application.TuningApplication` (the
   tenant's/scenario's choice; YARN config tuning by default);
-* :class:`SimulationPool` — process-parallel execution of independent
-  tenant simulations, bit-identical to serial execution;
-* :class:`ExecutionBackend` — where batches run: strictly inline
-  (:class:`SerialBackend`), over the pool (:class:`ProcessPoolBackend`,
-  the default), or through a durable file-spooled queue drained by
-  restartable workers (:class:`LocalQueueBackend`) — all bit-identical;
+* :class:`ExecutionBackend` — where batches run: inline or over a process
+  pool (:class:`ProcessPoolBackend`; ``max_workers=1``, the inline serial
+  reference, is the default), or through a durable file-spooled queue
+  drained by restartable workers (:class:`LocalQueueBackend`) — all
+  bit-identical;
 * :class:`SimulationCache` — memoizes outcomes by (tenant, config hash,
   workload tag) so repeated what-if questions never re-simulate;
 * :class:`CampaignStore` — versioned, atomically-written campaign records,
@@ -32,7 +31,6 @@ from repro.service.backend import (
     ExecutionBackend,
     LocalQueueBackend,
     ProcessPoolBackend,
-    SerialBackend,
     queue_task_id,
 )
 from repro.service.cache import CacheStats, SimulationCache
@@ -47,7 +45,6 @@ from repro.service.pool import (
     OutcomeTiming,
     SimulationBatchError,
     SimulationOutcome,
-    SimulationPool,
     SimulationRequest,
     config_fingerprint,
     execute_request,
@@ -75,7 +72,6 @@ from repro.service.store import (
 
 __all__ = [
     "ExecutionBackend",
-    "SerialBackend",
     "ProcessPoolBackend",
     "LocalQueueBackend",
     "queue_task_id",
@@ -93,7 +89,6 @@ __all__ = [
     "OutcomeTiming",
     "SimulationBatchError",
     "SimulationOutcome",
-    "SimulationPool",
     "SimulationRequest",
     "config_fingerprint",
     "execute_request",

@@ -1,15 +1,13 @@
 """Pluggable execution backends: where a beat's simulation batch runs.
 
-The tuning service used to hard-code one :class:`~repro.service.pool.
-SimulationPool`. Production KEA dispatches the same work to whatever
-substrate the deployment offers — an in-process loop, a process pool, a
-durable task queue drained by restartable workers — so the service now
-schedules through an :class:`ExecutionBackend`:
+Production KEA dispatches the same work to whatever substrate the
+deployment offers — an in-process loop, a process pool, a durable task
+queue drained by restartable workers — so the service schedules through an
+:class:`ExecutionBackend`:
 
-* :class:`SerialBackend` — strictly inline execution in the calling
-  process: the bit-identity reference and the zero-dependency fallback;
-* :class:`ProcessPoolBackend` — wraps :class:`~repro.service.pool.
-  SimulationPool`, fanning batches over worker processes (the default);
+* :class:`ProcessPoolBackend` — inline execution in the calling process at
+  ``max_workers=1`` (the bit-identity reference and the service default),
+  otherwise batches fanned over a pool of worker processes;
 * :class:`LocalQueueBackend` — persists every
   :class:`~repro.service.pool.SimulationRequest` as a file in a spool
   directory and drains it with restartable worker *processes* that claim
@@ -17,15 +15,16 @@ schedules through an :class:`ExecutionBackend`:
   mid-batch; re-running the batch reuses every result that already landed
   in ``done/`` and re-executes only what is missing.
 
-All three honour the pool's salvage contract: a failing request never
-destroys its siblings — the batch runs to completion, then a
+Both honour the salvage contract: a failing request never destroys its
+siblings — the batch runs to completion, then a
 :class:`~repro.service.pool.SimulationBatchError` carries the completed
 outcomes (None at failed slots) and the (request, exception) pairs.
 Because every request is a self-contained picklable recipe executed by
-:func:`~repro.service.pool.execute_request`, the three backends are
+:func:`~repro.service.pool.execute_request`, every execution is
 bit-identical: same requests in, same outcomes out, wherever they ran.
-Worker-side span trees ride back on ``outcome.timing.trace`` exactly as
-they do from the pool, so the orchestrator's beat trace is backend-agnostic.
+Worker-side span trees ride back on ``outcome.timing.trace`` from either
+backend, so the orchestrator's beat trace is backend-agnostic. Both record
+one ``backend.*`` ops-metric family, labelled by :attr:`ExecutionBackend.name`.
 """
 
 from __future__ import annotations
@@ -36,6 +35,8 @@ import os
 import pickle
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from hashlib import sha256
 from pathlib import Path
 
@@ -43,7 +44,6 @@ from repro.obs.metrics import OPS_METRICS
 from repro.service.pool import (
     SimulationBatchError,
     SimulationOutcome,
-    SimulationPool,
     SimulationRequest,
     execute_request,
 )
@@ -51,7 +51,6 @@ from repro.utils.errors import ServiceError
 
 __all__ = [
     "ExecutionBackend",
-    "SerialBackend",
     "ProcessPoolBackend",
     "LocalQueueBackend",
     "queue_task_id",
@@ -61,15 +60,14 @@ __all__ = [
 class ExecutionBackend(abc.ABC):
     """Where the service's simulation batches execute.
 
-    The contract mirrors :meth:`SimulationPool.run`: preserve input order,
-    run a poisoned batch to completion, then raise
-    :class:`~repro.service.pool.SimulationBatchError` with the siblings'
-    outcomes attached. ``executed`` counts requests actually simulated
-    (cache hits never reach a backend; a queue backend reusing a spooled
-    result does not re-count it).
+    The contract: preserve input order, run a poisoned batch to completion,
+    then raise :class:`~repro.service.pool.SimulationBatchError` with the
+    siblings' outcomes attached. ``executed`` counts requests actually
+    simulated (cache hits never reach a backend; a queue backend reusing a
+    spooled result does not re-count it).
     """
 
-    #: Stable identifier ("serial", "process-pool", "queue") used as the
+    #: Stable identifier ("process-pool", "queue") used as the
     #: ``backend`` metric label and surfaced on fleet reports.
     name: str = "backend"
 
@@ -131,71 +129,87 @@ class ExecutionBackend(abc.ABC):
         return outcomes  # type: ignore[return-value]
 
 
-class SerialBackend(ExecutionBackend):
-    """Strictly inline execution in the calling process.
+class ProcessPoolBackend(ExecutionBackend):
+    """Runs a batch inline or fans it out over worker processes.
 
-    The reference backend: no worker processes, no executor state, nothing
-    to shut down. Every other backend is required to match its outcomes
-    bit-for-bit.
+    ``max_workers=1`` — or a one-request batch — executes inline in the
+    calling process: the serial reference every other backend must match
+    bit for bit. ``None`` uses every available core. The executor is created
+    lazily on the first parallel batch, gets one future per request, and is
+    released by :meth:`shutdown`; a later batch rebuilds it.
     """
 
-    name = "serial"
+    name = "process-pool"
 
-    def __init__(self) -> None:
+    def __init__(self, max_workers: int | None = None) -> None:
+        if max_workers is None:
+            max_workers = os.cpu_count() or 1
+        if max_workers < 1:
+            raise ServiceError(f"max_workers must be >= 1, got {max_workers}")
+        self.max_workers = max_workers
         self._executed = 0
+        self._executor: ProcessPoolExecutor | None = None
+        # Guards the counter and lazy executor creation and release: sharded
+        # front-ends drive one backend from several threads.
         self._lock = threading.Lock()
 
     @property
     def executed(self) -> int:
         return self._executed
 
+    @property
+    def pool(self) -> "ProcessPoolBackend":
+        """Alias of ``self``, kept only for ``perfbench/workloads.py``,
+        which warms its workers with ``backend.pool.run(...)``."""
+        return self
+
     def run(self, requests: list[SimulationRequest]) -> list[SimulationOutcome]:
+        """Execute a batch, preserving input order in the outcomes.
+
+        Every request runs to completion before any failure is raised, so
+        a poisoned batch behaves the same inline and on worker processes.
+        """
         if not requests:
             return []
         with self._lock:
             self._executed += len(requests)
         self._record_batch(requests)
+        # One call per request, yielding its outcome: an inline run, or the
+        # result of a future already submitted to the pool.
+        if self.max_workers == 1 or len(requests) == 1:
+            results = [partial(execute_request, request) for request in requests]
+        else:
+            with self._lock:
+                if self._executor is None:
+                    self._executor = ProcessPoolExecutor(
+                        max_workers=self.max_workers
+                    )
+                executor = self._executor
+            results = [
+                executor.submit(execute_request, request).result
+                for request in requests
+            ]
         outcomes: list[SimulationOutcome | None] = []
         failures: list[tuple[SimulationRequest, Exception]] = []
-        for request in requests:
+        for request, result in zip(requests, results, strict=True):
             try:
-                outcomes.append(execute_request(request))
+                outcomes.append(result())
             except Exception as exc:  # re-raised by _finish_batch
                 outcomes.append(None)
                 failures.append((request, exc))
         return self._finish_batch(outcomes, failures)
 
-
-class ProcessPoolBackend(ExecutionBackend):
-    """Delegates batches to a :class:`~repro.service.pool.SimulationPool`.
-
-    The default backend — today's behaviour, behind the protocol. Accepts
-    an existing pool (the service's historical ``pool=`` argument threads
-    through here) or builds one from ``max_workers``.
-    """
-
-    name = "process-pool"
-
-    def __init__(
-        self,
-        pool: SimulationPool | None = None,
-        max_workers: int | None = None,
-    ) -> None:
-        if pool is not None and max_workers is not None:
-            raise ServiceError("pass either an existing pool or max_workers, not both")
-        self.pool = pool if pool is not None else SimulationPool(max_workers=max_workers)
-
-    @property
-    def executed(self) -> int:
-        return self.pool.executed
-
-    def run(self, requests: list[SimulationRequest]) -> list[SimulationOutcome]:
-        if requests:
-            self._record_batch(requests)
-        return self.pool.run(requests)
-
     def shutdown(self) -> None:
-        self.pool.shutdown()
+        """Release the worker processes (idempotent and thread-safe).
+
+        The executor is detached *before* its release runs, so a second
+        call — from another thread, or after a first release that raised
+        partway through — is a no-op.
+        """
+        with self._lock:
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown()
 
 
 def queue_task_id(request: SimulationRequest) -> str:

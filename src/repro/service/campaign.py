@@ -514,11 +514,11 @@ class Campaign:
         self.cost_ledger.charge(
             outcome.kind,
             machines * window_hours,
-            outcome.elapsed_seconds,
+            outcome.timing.elapsed_seconds,
             dollars=outcome.cost.total_dollars,
         )
         OPS_METRICS.histogram("campaign.phase_seconds", phase=outcome.kind).observe(
-            outcome.elapsed_seconds
+            outcome.timing.elapsed_seconds
         )
 
     def _after_observe(self, outcome: SimulationOutcome) -> None:

@@ -1,11 +1,12 @@
-"""Parallel simulation execution for multi-tenant campaigns.
+"""The wire types of simulation execution for multi-tenant campaigns.
 
 Simulation dominates a campaign's wall-clock (the paper's analogue: waiting
 on production observation windows). Tenants are independent, so their
-windows can run concurrently: :class:`SimulationPool` fans
-:class:`SimulationRequest` batches out over a ``concurrent.futures`` process
-pool. Every request is a self-contained, picklable recipe — tenant spec,
-scenario, config, explicit workload tag — and :func:`execute_request`
+windows can run concurrently: an
+:class:`~repro.service.backend.ExecutionBackend` runs
+:class:`SimulationRequest` batches inline, over a process pool, or through
+a file spool. Every request is a self-contained, picklable recipe — tenant
+spec, scenario, config, explicit workload tag — and :func:`execute_request`
 rebuilds the tenant's :class:`~repro.core.kea.Kea` from scratch inside the
 worker. Because nothing depends on live mutable state, a parallel run is
 bit-identical to a serial run of the same requests (same seeds, same tags →
@@ -14,10 +15,7 @@ same outputs), which ``tests/test_service.py`` asserts.
 
 from __future__ import annotations
 
-import os
-import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from hashlib import sha256
 
@@ -33,13 +31,12 @@ from repro.flighting.deployment import (
 )
 from repro.flighting.safety import GateVerdict, LatencyRegressionGate
 from repro.flighting.tool import FlightReport
-from repro.obs.metrics import OPS_METRICS
 from repro.obs.trace import SpanRecord, Tracer, activate
 from repro.service.registry import TenantSpec
 from repro.service.scenarios import Scenario
 from repro.telemetry.monitor import MonitorSnapshot
 from repro.telemetry.frame import MachineHourFrame
-from repro.telemetry.records import MachineHourRecord, ResourceSample
+from repro.telemetry.records import ResourceSample
 from repro.utils.errors import ServiceError
 
 __all__ = [
@@ -47,7 +44,6 @@ __all__ = [
     "SimulationOutcome",
     "OutcomeTiming",
     "SimulationBatchError",
-    "SimulationPool",
     "execute_request",
     "config_fingerprint",
 ]
@@ -56,7 +52,7 @@ __all__ = [
 class SimulationBatchError(ServiceError):
     """A batch ran to completion, but at least one request failed.
 
-    Raised by :meth:`SimulationPool.run` *after* every sibling finished:
+    Raised by an execution backend's ``run`` *after* every sibling finished:
     ``outcomes`` holds the batch's results in input order (None at each
     failed slot) and ``failures`` the (request, exception) pairs, so callers
     can salvage the completed work — the orchestrator caches the surviving
@@ -196,7 +192,7 @@ class SimulationOutcome:
     kind: str
     workload_tag: str
     #: Machine-hour telemetry, columnar. Pickles compactly across the pool
-    #: boundary; :attr:`records` materializes the record view on demand.
+    #: boundary.
     frame: MachineHourFrame = field(default_factory=MachineHourFrame)
     snapshot: MonitorSnapshot | None = None
     resource_samples: list[ResourceSample] = field(default_factory=list)
@@ -212,16 +208,6 @@ class SimulationOutcome:
     #: re-derivable under a new book without invalidating cached frames).
     cost: CostReport | None = None
     timing: OutcomeTiming = field(default_factory=OutcomeTiming)
-
-    @property
-    def records(self) -> list[MachineHourRecord]:
-        """Record-level view of the telemetry frame (lazy, cached)."""
-        return self.frame.to_records()
-
-    @property
-    def elapsed_seconds(self) -> float:
-        """Worker wall-clock of the request (delegates to :attr:`timing`)."""
-        return self.timing.elapsed_seconds
 
 
 def execute_request(request: SimulationRequest) -> SimulationOutcome:
@@ -313,117 +299,3 @@ def execute_request(request: SimulationRequest) -> SimulationOutcome:
         ),
         **produced,
     )
-
-
-class SimulationPool:
-    """Fans request batches out over worker processes.
-
-    ``max_workers=1`` executes inline (the serial reference); ``None`` uses
-    every available core. The executor is created lazily on the first
-    parallel batch and must be released with :meth:`shutdown` (or by using
-    the pool as a context manager).
-    """
-
-    def __init__(self, max_workers: int | None = None):
-        if max_workers is None:
-            max_workers = os.cpu_count() or 1
-        if max_workers < 1:
-            raise ServiceError(f"max_workers must be >= 1, got {max_workers}")
-        self.max_workers = max_workers
-        self.executed = 0  # requests actually simulated (cache bypasses this)
-        self._executor: ProcessPoolExecutor | None = None
-        # Guards lazy executor creation and release: sharded front-ends may
-        # drive one pool from several threads, and shutdown must be safe to
-        # call twice even if the first call raised mid-release.
-        self._lock = threading.Lock()
-
-    @property
-    def parallel(self) -> bool:
-        """True when batches may span multiple worker processes."""
-        return self.max_workers > 1
-
-    def run(self, requests: list[SimulationRequest]) -> list[SimulationOutcome]:
-        """Execute a batch, preserving input order in the outcomes.
-
-        Every request gets its own future: one failing simulation no longer
-        destroys its siblings' outcomes mid-``map`` — the whole batch runs
-        to completion first, then a :class:`SimulationBatchError` naming
-        the first failing request (tenant and kind) is raised with the
-        original exception chained and the siblings' completed outcomes
-        attached, so callers can salvage them. The serial path mirrors that
-        contract, so a poisoned batch behaves identically with or without
-        worker processes.
-        """
-        if not requests:
-            return []
-        with self._lock:
-            self.executed += len(requests)
-        OPS_METRICS.counter("pool.batches").inc()
-        OPS_METRICS.histogram("pool.batch_fanout").observe(len(requests))
-        failures: list[tuple[SimulationRequest, Exception]] = []
-        outcomes: list[SimulationOutcome | None] = []
-        if not self.parallel or len(requests) == 1:
-            for request in requests:
-                try:
-                    outcomes.append(execute_request(request))
-                except Exception as exc:  # re-raised below, naming the request
-                    outcomes.append(None)
-                    failures.append((request, exc))
-        else:
-            with self._lock:
-                if self._executor is None:
-                    self._executor = ProcessPoolExecutor(
-                        max_workers=self.max_workers
-                    )
-                executor = self._executor
-            futures = [
-                executor.submit(execute_request, request)
-                for request in requests
-            ]
-            for request, future in zip(requests, futures, strict=True):
-                try:
-                    outcomes.append(future.result())
-                except Exception as exc:  # re-raised below, naming the request
-                    outcomes.append(None)
-                    failures.append((request, exc))
-        for outcome in outcomes:
-            if outcome is not None:
-                OPS_METRICS.histogram(
-                    "pool.request_seconds", kind=outcome.kind
-                ).observe(outcome.timing.elapsed_seconds)
-        if failures:
-            for request, _exc in failures:
-                OPS_METRICS.counter("pool.failures", kind=request.kind).inc()
-            request, exc = failures[0]
-            raise SimulationBatchError(
-                f"simulation request failed (tenant={request.tenant!r}, "
-                f"kind={request.kind!r}): {exc}",
-                outcomes=outcomes,
-                failures=failures,
-            ) from exc
-        return outcomes
-
-    def shutdown(self) -> None:
-        """Release the worker processes (idempotent and thread-safe).
-
-        The executor reference is detached *before* its release runs, so a
-        second call — from another thread, an ``__exit__`` after an explicit
-        ``close()``, or a retry after a failed batch left the pool in an
-        odd state — is a guaranteed no-op even if the first release raised
-        partway through.
-        """
-        with self._lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown()
-
-    def close(self) -> None:
-        """Alias for :meth:`shutdown` (file-like convention)."""
-        self.shutdown()
-
-    def __enter__(self) -> "SimulationPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
-

@@ -3,8 +3,8 @@
 :class:`ContinuousTuningService` is the top of the subsystem: it owns a
 :class:`~repro.service.registry.FleetRegistry` of tenants, a
 :class:`~repro.service.scenarios.ScenarioCatalog`, an
-:class:`~repro.service.backend.ExecutionBackend` (an in-process pool by
-default; serial and file-spooled queue backends plug in the same way), a
+:class:`~repro.service.backend.ExecutionBackend` (inline by default; a
+process pool or a file-spooled queue plugs in the same way), a
 :class:`~repro.service.cache.SimulationCache`, and optionally a
 :class:`~repro.service.store.CampaignStore`. One call to
 :meth:`~ContinuousTuningService.run_campaigns` drives every selected tenant
@@ -33,7 +33,6 @@ tunes queue lengths or evaluates a power-capping level.
 
 from __future__ import annotations
 
-import sys
 import threading
 from dataclasses import dataclass, field
 from hashlib import sha256
@@ -48,14 +47,12 @@ from repro.service.campaign import Campaign, CampaignGuardrails, CampaignReport
 from repro.service.pool import (
     SimulationBatchError,
     SimulationOutcome,
-    SimulationPool,
     SimulationRequest,
 )
 from repro.service.registry import FleetRegistry
 from repro.service.scenarios import Scenario, ScenarioCatalog, default_catalog
 from repro.service.store import CampaignStore
 from repro.telemetry.frame import MachineHourFrame
-from repro.telemetry.records import MachineHourRecord, QueueStats
 from repro.utils.errors import ServiceError
 from repro.utils.tables import TextTable
 
@@ -87,83 +84,13 @@ MAX_CACHE_ENTRIES = 4096
 _REQUESTS_PER_ROUND = 3
 
 
-def _deep_getsizeof(value) -> int:
-    """``sys.getsizeof`` plus the contents of plain container values.
-
-    ``sys.getsizeof`` on a list reports the list shell only — a
-    ``QueueStats.waits`` list of N floats would count as ~56 + 8N bytes when
-    the floats themselves hold another 32N. Record fields are flat data
-    (numbers, strings, short lists), so one level of list/tuple/dict
-    recursion covers every container a record actually stores.
-    """
-    total = sys.getsizeof(value)
-    if isinstance(value, (list, tuple, set, frozenset)):
-        total += sum(_deep_getsizeof(item) for item in value)
-    elif isinstance(value, dict):
-        total += sum(
-            _deep_getsizeof(key) + _deep_getsizeof(item)
-            for key, item in value.items()
-        )
-    return total
-
-
-def _measured_record_bytes() -> int:
-    """Measured in-memory footprint of one machine-hour record.
-
-    Sums ``sys.getsizeof`` over a representative record and its field
-    payloads (the slotted dataclass itself, its strings, and the queue-stats
-    sub-object — container fields deep-sized, so the queue's wait samples
-    are counted, not just their list shell), so the estimate tracks the
-    real record layout instead of a hand-maintained constant.
-    """
-    probe = MachineHourRecord(
-        machine_id=0,
-        machine_name="m000000",
-        sku="Gen 1.1",
-        software="SC1",
-        rack=0,
-        row=0,
-        subcluster=0,
-        hour=0,
-        cpu_utilization=0.5,
-        avg_running_containers=4.0,
-        total_data_read_bytes=1.0e9,
-        tasks_finished=12,
-        total_cpu_seconds=1800.0,
-        total_task_seconds=3600.0,
-        avg_cores_in_use=8.0,
-        avg_ram_gb_in_use=32.0,
-        avg_ssd_gb_in_use=100.0,
-        avg_power_watts=300.0,
-        power_cap_watts=None,
-        feature_enabled=False,
-        max_running_containers=8,
-        queue=QueueStats(avg_length=0.5, enqueued=6, dequeued=6, waits=[30.0] * 6),
-    )
-    total = sys.getsizeof(probe)
-    for name in MachineHourRecord.__slots__:
-        value = getattr(probe, name)
-        if isinstance(value, QueueStats):
-            total += sys.getsizeof(value)
-            total += sum(
-                _deep_getsizeof(getattr(value, n)) for n in QueueStats.__slots__
-            )
-        else:
-            total += _deep_getsizeof(value)
-    return total
-
-
 def _measured_frame_row_bytes() -> int:
     """Measured columnar footprint of one cached machine-hour row.
 
-    Cached outcomes now carry a :class:`MachineHourFrame`, not a record
-    list: one row is a handful of fixed-width column slots plus its queue
-    waits, not a 30-field dataclass with per-field boxed objects. The
-    estimate probes a representative frame (same field values as the legacy
-    record probe) and divides its :attr:`MachineHourFrame.nbytes` across its
-    rows, so cache sizing tracks the real columnar layout — roughly an
-    order of magnitude smaller per row than the dataclass measurement,
-    which would starve the cache bound for no reason.
+    Cached outcomes carry a :class:`MachineHourFrame`: one row is a handful
+    of fixed-width column slots plus its queue waits. The estimate probes a
+    representative frame and divides its :attr:`MachineHourFrame.nbytes`
+    across its rows, so cache sizing tracks the real columnar layout.
     """
     frame = MachineHourFrame()
     for machine_id in range(16):
@@ -244,8 +171,8 @@ class FleetCampaignReport:
     #: Empty for sharded (submit/poll) runs: shard beats interleave, so
     #: per-beat attribution belongs to the trace, not the report.
     beat_cache_deltas: tuple[CacheStats, ...] = ()
-    #: Which execution backend ran the campaigns ("serial", "process-pool",
-    #: "queue"). Out-of-band: never part of a bit-identity comparison.
+    #: Which execution backend ran the campaigns ("process-pool", "queue").
+    #: Out-of-band: never part of a bit-identity comparison.
     backend: str = ""
     #: False while a sharded run still has live shards (a :meth:`poll`
     #: snapshot); drained and synchronous reports are always complete.
@@ -385,7 +312,6 @@ class ContinuousTuningService:
         self,
         registry: FleetRegistry,
         catalog: ScenarioCatalog | None = None,
-        pool: SimulationPool | None = None,
         cache: SimulationCache | None = None,
         guardrails: CampaignGuardrails | None = None,
         cache_budget_mb: float = DEFAULT_CACHE_BUDGET_MB,
@@ -393,11 +319,6 @@ class ContinuousTuningService:
         backend: ExecutionBackend | None = None,
         store: CampaignStore | None = None,
     ):
-        if backend is not None and pool is not None:
-            raise ServiceError(
-                "pass either backend= or pool=, not both (a pool is wrapped "
-                "in a ProcessPoolBackend automatically)"
-            )
         self.registry = registry
         #: The observability tracer every beat records to. The default
         #: NULL_TRACER disables tracing at near-zero cost; pass a
@@ -411,14 +332,9 @@ class ContinuousTuningService:
         # A fresh catalog per service: ScenarioCatalog is mutable, and two
         # services must not see each other's registered scenarios.
         self.catalog = catalog if catalog is not None else default_catalog()
-        #: Where simulation batches execute. ``pool=`` remains the
-        #: historical shorthand for a :class:`ProcessPoolBackend`.
+        #: Where simulation batches execute; inline by default.
         self.backend: ExecutionBackend = (
-            backend
-            if backend is not None
-            else ProcessPoolBackend(
-                pool=pool if pool is not None else SimulationPool(max_workers=1)
-            )
+            backend if backend is not None else ProcessPoolBackend(max_workers=1)
         )
         #: Durable campaign state. When set, every campaign is persisted at
         #: launch and after every advance, and :meth:`resume_campaigns`
@@ -440,16 +356,6 @@ class ContinuousTuningService:
         self.guardrails = guardrails
         self._runs: dict[str, _FleetRun] = {}
         self._run_seq = 0
-
-    @property
-    def pool(self) -> SimulationPool:
-        """The backend's simulation pool (pool-backed services only)."""
-        pool = getattr(self.backend, "pool", None)
-        if pool is None:
-            raise ServiceError(
-                f"backend {self.backend.name!r} has no simulation pool"
-            )
-        return pool
 
     def resolve_scenario(self, scenario: str | Scenario) -> Scenario:
         """Accept a scenario by name (via the catalog) or by value."""

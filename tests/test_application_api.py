@@ -41,8 +41,8 @@ from repro.service import (
     CampaignPhase,
     ContinuousTuningService,
     FleetRegistry,
+    ProcessPoolBackend,
     Scenario,
-    SimulationPool,
     TenantSpec,
 )
 from repro.service.pool import execute_request
@@ -298,7 +298,7 @@ def queue_registry() -> FleetRegistry:
 
 def run_queue_campaign(max_workers: int):
     with ContinuousTuningService(
-        queue_registry(), pool=SimulationPool(max_workers=max_workers)
+        queue_registry(), backend=ProcessPoolBackend(max_workers=max_workers)
     ) as service:
         return service.run_campaigns(
             scenario=QUEUE_CAMPAIGN_SCENARIO, **QUEUE_CAMPAIGN_KW

@@ -33,7 +33,7 @@ from repro.service import (
     CampaignPhase,
     ContinuousTuningService,
     FleetRegistry,
-    SerialBackend,
+    ProcessPoolBackend,
     SimulationOutcome,
     TenantSpec,
     default_catalog,
@@ -211,7 +211,7 @@ class TestCampaignCostWiring:
             TenantSpec(name="east", fleet_spec=small_fleet_spec(), seed=11)
         )
         with ContinuousTuningService(
-            registry, backend=SerialBackend()
+            registry, backend=ProcessPoolBackend(max_workers=1)
         ) as service:
             report = service.run_campaigns(
                 scenario="diurnal-baseline",
@@ -254,7 +254,7 @@ class TestCampaignCostWiring:
         )
         free = PriceBook(rates=(), default_rate=0.0, power_dollars_per_kwh=0.0)
         with ContinuousTuningService(
-            registry, backend=SerialBackend()
+            registry, backend=ProcessPoolBackend(max_workers=1)
         ) as service:
             report = service.run_campaigns(
                 scenario="diurnal-baseline",

@@ -1,7 +1,7 @@
 """Tests for the durable execution plane (:mod:`repro.service`).
 
-Covers the pluggable execution backends (serial / process-pool / queue:
-salvage contract, spool reuse, worker-crash redrain), the persistent
+Covers the pluggable execution backends (process-pool and queue: salvage
+contract, one metric family, spool reuse, worker-crash redrain), the persistent
 campaign store (atomic versioned records, round trips, checkpoint harvest),
 crash-resume bit-identity across every backend, the non-blocking
 submit/poll/drain front-end with tenant-sharded dispatch, seeding a fresh
@@ -29,9 +29,7 @@ from repro.service import (
     LocalQueueBackend,
     ProcessPoolBackend,
     Scenario,
-    SerialBackend,
     SimulationBatchError,
-    SimulationPool,
     SimulationRequest,
     TenantSpec,
     config_fingerprint,
@@ -109,7 +107,7 @@ def assert_fleet_reports_identical(got, want):
 
 def make_backend(kind: str, tmp_path_factory):
     if kind == "serial":
-        return SerialBackend()
+        return ProcessPoolBackend(max_workers=1)
     if kind == "pool":
         return ProcessPoolBackend(max_workers=2)
     return LocalQueueBackend(tmp_path_factory.mktemp("spool"), workers=2)
@@ -119,7 +117,7 @@ def make_backend(kind: str, tmp_path_factory):
 def reference_run():
     """The uninterrupted serial run every durable/sharded run must match."""
     with ContinuousTuningService(
-        make_registry(), backend=SerialBackend()
+        make_registry(), backend=ProcessPoolBackend(max_workers=1)
     ) as service:
         yield service.run_campaigns(scenario="diurnal-baseline", **CAMPAIGN_KW)
 
@@ -129,8 +127,6 @@ def reference_run():
 # ----------------------------------------------------------------------
 class TestBackendContract:
     def test_construction_validation(self, tmp_path):
-        with pytest.raises(ServiceError, match="not both"):
-            ProcessPoolBackend(pool=SimulationPool(max_workers=1), max_workers=2)
         with pytest.raises(ServiceError, match="workers"):
             LocalQueueBackend(tmp_path / "spool", workers=0)
         with pytest.raises(ServiceError, match="max_attempts"):
@@ -168,16 +164,28 @@ class TestBackendContract:
             (again,) = backend.run([siblings[0]])
             salvaged = error.outcomes[0]
             assert again.workload_tag == salvaged.workload_tag
-            assert again.records == salvaged.records
+            assert again.frame == salvaged.frame
 
-    def test_process_pool_backend_wraps_an_existing_pool(self):
-        pool = SimulationPool(max_workers=1)
-        backend = ProcessPoolBackend(pool=pool)
-        assert backend.pool is pool
-        with backend:
-            (outcome,) = backend.run([observe_request(tag="wrap/probe")])
-        assert outcome.kind == "observe"
-        assert backend.executed == pool.executed == 1
+    @pytest.mark.parametrize("kind", ["serial", "pool", "queue"])
+    def test_every_backend_records_one_metric_family(self, kind, tmp_path_factory):
+        """Inline, pooled and queued batches record the same four
+        ``backend.*`` series under their own ``backend=`` label, and
+        nothing under a second family."""
+        batch = [observe_request(tag=f"metrics/{kind}"), poisoned_request()]
+        before = OPS_METRICS.snapshot()
+        with make_backend(kind, tmp_path_factory) as backend:
+            with pytest.raises(SimulationBatchError):
+                backend.run(batch)
+        after = OPS_METRICS.snapshot()
+        moved = {key for key, value in after.items() if before.get(key) != value}
+        label = backend.name
+        assert {key for key in moved if key.startswith("backend.")} == {
+            f"backend.batches{{backend={label}}}",
+            f"backend.batch_fanout{{backend={label}}}",
+            f"backend.request_seconds{{backend={label},kind=observe}}",
+            f"backend.failures{{backend={label},kind=observe}}",
+        }
+        assert not any(key.startswith("pool.") for key in moved)
 
 
 # ----------------------------------------------------------------------
@@ -273,7 +281,7 @@ class TestCampaignStore:
         """A store holding 'east' exactly one beat into its campaign."""
         store = CampaignStore(tmp_path / "store")
         service = ContinuousTuningService(
-            make_registry(), backend=SerialBackend(), store=store
+            make_registry(), backend=ProcessPoolBackend(max_workers=1), store=store
         )
         campaigns = service.launch(
             scenario="diurnal-baseline", tenants=["east"], **CAMPAIGN_KW
@@ -382,12 +390,12 @@ class TestCrashResume:
         assert_fleet_reports_identical(resumed, reference_run)
 
     def test_recover_requires_a_store_with_records(self, tmp_path):
-        storeless = ContinuousTuningService(make_registry(), backend=SerialBackend())
+        storeless = ContinuousTuningService(make_registry(), backend=ProcessPoolBackend(max_workers=1))
         with pytest.raises(ServiceError, match="no campaign store"):
             storeless.recover()
         empty = ContinuousTuningService(
             make_registry(),
-            backend=SerialBackend(),
+            backend=ProcessPoolBackend(max_workers=1),
             store=CampaignStore(tmp_path / "store"),
         )
         with pytest.raises(ServiceError, match="holds no campaigns"):
@@ -400,7 +408,7 @@ class TestCrashResume:
 class TestNonBlockingFrontEnd:
     def test_submit_poll_drain_matches_the_synchronous_run(self, reference_run):
         with ContinuousTuningService(
-            make_registry(), backend=SerialBackend()
+            make_registry(), backend=ProcessPoolBackend(max_workers=1)
         ) as service:
             token = service.submit(scenario="diurnal-baseline", **CAMPAIGN_KW)
             # poll() never blocks on simulation: it snapshots immediately,
@@ -410,14 +418,14 @@ class TestNonBlockingFrontEnd:
             assert isinstance(snapshot.complete, bool)
             final = service.drain(token)
         assert final.complete
-        assert final.backend == "serial"
+        assert final.backend == "process-pool"
         assert_fleet_reports_identical(final, reference_run)
         # Draining again is a cheap no-op returning the same final state.
         assert service.drain(token).complete
 
     def test_unknown_token_is_rejected(self):
         with ContinuousTuningService(
-            make_registry(), backend=SerialBackend()
+            make_registry(), backend=ProcessPoolBackend(max_workers=1)
         ) as service:
             with pytest.raises(ServiceError, match="unknown run token"):
                 service.poll("run-999")
@@ -436,7 +444,7 @@ class TestNonBlockingFrontEnd:
         Campaign.advance = doomed_advance
         try:
             with ContinuousTuningService(
-                make_registry(extra=(("doomed", 7),)), backend=SerialBackend()
+                make_registry(extra=(("doomed", 7),)), backend=ProcessPoolBackend(max_workers=1)
             ) as service:
                 token = service.submit(scenario="diurnal-baseline", **CAMPAIGN_KW)
                 with pytest.raises(RuntimeError, match="doomed tenant"):
@@ -451,7 +459,7 @@ class TestNonBlockingFrontEnd:
 
     def test_drain_without_token_collects_every_run(self, reference_run):
         with ContinuousTuningService(
-            make_registry(), backend=SerialBackend()
+            make_registry(), backend=ProcessPoolBackend(max_workers=1)
         ) as service:
             first = service.submit(
                 scenario="diurnal-baseline", tenants=["east"], **CAMPAIGN_KW
@@ -551,7 +559,7 @@ class TestResumeSeed:
     def test_launch_threads_seeds_per_tenant(self):
         checkpoint = self._harvestable_checkpoint()
         with ContinuousTuningService(
-            make_registry(), backend=SerialBackend()
+            make_registry(), backend=ProcessPoolBackend(max_workers=1)
         ) as service:
             per_tenant = service.launch(
                 scenario="diurnal-baseline",
@@ -575,7 +583,7 @@ class TestResumeSeed:
 # ----------------------------------------------------------------------
 class TestPoolShutdown:
     def test_shutdown_is_idempotent_and_safe_after_a_failed_batch(self):
-        pool = SimulationPool(max_workers=2)
+        pool = ProcessPoolBackend(max_workers=2)
         with pytest.raises(SimulationBatchError):
             pool.run([observe_request(tag="shutdown/a"), poisoned_request()])
         pool.shutdown()
@@ -591,8 +599,8 @@ class TestPoolShutdown:
 
     def test_backend_close_aliases_are_idempotent(self, tmp_path):
         for backend in (
-            SerialBackend(),
             ProcessPoolBackend(max_workers=1),
+            ProcessPoolBackend(max_workers=2),
             LocalQueueBackend(tmp_path / "spool"),
         ):
             backend.shutdown()

@@ -44,7 +44,6 @@ from repro.service import (
     LocalQueueBackend,
     ProcessPoolBackend,
     Scenario,
-    SerialBackend,
     SimulationRequest,
     TenantSpec,
     default_catalog,
@@ -610,7 +609,7 @@ class TestAzOutageCampaign:
     @pytest.fixture(scope="class")
     def serial_run(self):
         with ContinuousTuningService(
-            make_registry(), backend=SerialBackend()
+            make_registry(), backend=ProcessPoolBackend(max_workers=1)
         ) as service:
             report = service.run_campaigns(scenario="az-outage", **CAMPAIGN_KW)
         return report
@@ -649,7 +648,7 @@ class TestAzOutageCampaign:
             TenantSpec(name="east", fleet_spec=small_fleet_spec(), seed=11)
         )
         with ContinuousTuningService(
-            registry, backend=SerialBackend()
+            registry, backend=ProcessPoolBackend(max_workers=1)
         ) as service:
             report = service.run_campaigns(
                 scenario="straggler-tail", **CAMPAIGN_KW

@@ -33,11 +33,11 @@ from repro.service import (
     ContinuousTuningService,
     FleetRegistry,
     OutcomeTiming,
+    ProcessPoolBackend,
     Scenario,
     SimulationBatchError,
     SimulationCache,
     SimulationOutcome,
-    SimulationPool,
     SimulationRequest,
     TenantSpec,
     execute_request,
@@ -213,10 +213,10 @@ class TestSpanTracing:
 class TestOpsMetrics:
     def test_counter_gauge_histogram(self):
         registry = MetricsRegistry()
-        counter = registry.counter("pool.batches")
+        counter = registry.counter("backend.batches")
         counter.inc()
         counter.inc(2.0)
-        assert registry.counter("pool.batches") is counter
+        assert registry.counter("backend.batches") is counter
         assert counter.value == 3.0
         with pytest.raises(ValueError):
             counter.inc(-1.0)
@@ -226,7 +226,7 @@ class TestOpsMetrics:
         gauge.add(-2)
         assert gauge.value == 3.0
 
-        histogram = registry.histogram("pool.request_seconds")
+        histogram = registry.histogram("backend.request_seconds")
         assert histogram.mean == 0.0
         for value in (1.0, 3.0):
             histogram.observe(value)
@@ -236,16 +236,16 @@ class TestOpsMetrics:
 
     def test_labels_partition_and_type_clashes_fail(self):
         registry = MetricsRegistry()
-        observe = registry.counter("pool.failures", kind="observe")
-        flight = registry.counter("pool.failures", kind="flight")
+        observe = registry.counter("backend.failures", kind="observe")
+        flight = registry.counter("backend.failures", kind="flight")
         assert observe is not flight
         observe.inc()
-        assert registry.get("pool.failures", kind="observe").value == 1.0
-        assert registry.get("pool.failures", kind="flight").value == 0.0
-        assert registry.get("pool.failures", kind="impact") is None
+        assert registry.get("backend.failures", kind="observe").value == 1.0
+        assert registry.get("backend.failures", kind="flight").value == 0.0
+        assert registry.get("backend.failures", kind="impact") is None
         with pytest.raises(TypeError):
-            registry.gauge("pool.failures", kind="observe")
-        assert "pool.failures{kind=flight}" in registry.names()
+            registry.gauge("backend.failures", kind="observe")
+        assert "backend.failures{kind=flight}" in registry.names()
 
     def test_snapshot_and_summary(self):
         registry = MetricsRegistry()
@@ -383,8 +383,6 @@ class TestPoolTiming:
         outcome = execute_request(make_request(tag="timing/direct"))
         assert isinstance(outcome.timing, OutcomeTiming)
         assert outcome.timing.elapsed_seconds > 0.0
-        # The legacy accessor delegates to the explicit timing field.
-        assert outcome.elapsed_seconds == outcome.timing.elapsed_seconds
         names = [record.name for record in outcome.timing.trace]
         assert "request.observe" in names
         assert "kea.simulate" in names
@@ -392,8 +390,8 @@ class TestPoolTiming:
 
     def test_worker_spans_cross_the_process_boundary(self):
         requests = [make_request(tag="xproc/a"), make_request(tag="xproc/b")]
-        with SimulationPool(max_workers=2) as pool:
-            assert pool.parallel
+        with ProcessPoolBackend(max_workers=2) as pool:
+            assert pool.max_workers > 1
             outcomes = pool.run(requests)
         tracer = Tracer(trace_id="beat")
         with tracer.span("pool.batch") as batch:
@@ -418,7 +416,7 @@ class TestPoolTiming:
     def test_salvaged_siblings_carry_timing(self):
         siblings = [make_request(tag=f"salvage/{i}") for i in range(2)]
         batch = [siblings[0], make_poisoned_request(), siblings[1]]
-        with SimulationPool(max_workers=1) as pool:
+        with ProcessPoolBackend(max_workers=1) as pool:
             with pytest.raises(SimulationBatchError) as excinfo:
                 pool.run(batch)
         salvaged = [o for o in excinfo.value.outcomes if o is not None]
@@ -457,7 +455,7 @@ def run_traced_campaign(max_workers: int):
     registry.add(TenantSpec(name="west", fleet_spec=small_fleet_spec(), seed=23))
     tracer = Tracer(trace_id=f"campaign/workers-{max_workers}")
     with ContinuousTuningService(
-        registry, pool=SimulationPool(max_workers=max_workers), tracer=tracer
+        registry, backend=ProcessPoolBackend(max_workers=max_workers), tracer=tracer
     ) as service:
         result = service.run_campaigns(scenario="diurnal-baseline", **CAMPAIGN_KW)
     return tracer, result
@@ -567,6 +565,14 @@ class TestTracedCampaign:
 
     def test_ops_metrics_populated_by_the_run(self, traced_serial):
         _tracer, _result = traced_serial
-        assert OPS_METRICS.counter("pool.batches").value >= 1
-        assert OPS_METRICS.histogram("pool.batch_fanout").count >= 1
+        assert (
+            OPS_METRICS.counter("backend.batches", backend="process-pool").value
+            >= 1
+        )
+        assert (
+            OPS_METRICS.histogram(
+                "backend.batch_fanout", backend="process-pool"
+            ).count
+            >= 1
+        )
         assert OPS_METRICS.histogram("campaign.phase_seconds", phase="observe").count >= 1

@@ -42,9 +42,9 @@ from repro.service import (
     CampaignPhase,
     ContinuousTuningService,
     FleetRegistry,
+    ProcessPoolBackend,
     SimulationCache,
     SimulationOutcome,
-    SimulationPool,
     SimulationRequest,
     TenantSpec,
     execute_request,
@@ -450,7 +450,7 @@ def run_queue_campaign(max_workers: int):
         )
     )
     with ContinuousTuningService(
-        registry, pool=SimulationPool(max_workers=max_workers)
+        registry, backend=ProcessPoolBackend(max_workers=max_workers)
     ) as service:
         return service.run_campaigns(scenario="sustained-overload", **QUEUE_KW)
 
@@ -543,7 +543,7 @@ class TestSkuDesignThroughThePool:
             )
         )
         with ContinuousTuningService(
-            registry, pool=SimulationPool(max_workers=1)
+            registry, backend=ProcessPoolBackend(max_workers=1)
         ) as service:
             first = service.run_campaigns(
                 scenario="diurnal-baseline", observe_days=0.5

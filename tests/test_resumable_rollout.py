@@ -29,8 +29,8 @@ from repro.flighting.safety import GateVerdict, SafetyGate
 from repro.service import (
     Campaign,
     CampaignPhase,
+    ProcessPoolBackend,
     SimulationOutcome,
-    SimulationPool,
     SimulationRequest,
     TenantSpec,
     config_fingerprint,
@@ -717,7 +717,7 @@ class TestResumeThroughThePool:
         )
 
     def test_serial_equals_pooled_bit_identically(self, resume_request):
-        with SimulationPool(max_workers=1) as serial, SimulationPool(
+        with ProcessPoolBackend(max_workers=1) as serial, ProcessPoolBackend(
             max_workers=2
         ) as pooled:
             (serial_outcome,) = serial.run([resume_request])
@@ -737,7 +737,7 @@ class TestResumeThroughThePool:
             )
 
     def test_resume_outcome_restores_then_widens(self, resume_request):
-        with SimulationPool(max_workers=1) as pool:
+        with ProcessPoolBackend(max_workers=1) as pool:
             (outcome,) = pool.run([resume_request])
         waves = outcome.rollout_waves
         assert waves[0].resumed and not waves[0].applied

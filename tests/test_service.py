@@ -4,7 +4,19 @@ Covers the campaign state machine (transitions, significance gates, rollback
 on regressing deployments), the simulation cache (hits avoid re-simulation),
 and the parallel pool (a multi-tenant parallel run is bit-identical to a
 serial run of the same campaigns).
+
+Every execution backend's fleet campaign is also checked against the
+committed digest in ``tests/golden/campaign.json``, so the campaign outputs
+hold across builds, not only across backends of one build. A deliberate
+behaviour change re-baselines the file, from the repo root::
+
+    PYTHONPATH=src python -m tests.test_service --write
 """
+
+import hashlib
+import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,10 +36,8 @@ from repro.service import (
     LocalQueueBackend,
     ProcessPoolBackend,
     Scenario,
-    SerialBackend,
     SimulationCache,
     SimulationOutcome,
-    SimulationPool,
     SimulationRequest,
     TenantSpec,
     config_fingerprint,
@@ -41,6 +51,7 @@ from repro.workload import SeasonalityProfile, SpikeProfile
 
 CAMPAIGN_KW = dict(observe_days=0.5, impact_days=0.5, flight_hours=4.0)
 TENANT_SEEDS = (("east", 11), ("west", 23), ("north", 47))
+GOLDEN_PATH = Path(__file__).parent / "golden" / "campaign.json"
 
 
 def make_registry() -> FleetRegistry:
@@ -108,7 +119,7 @@ def assert_fleet_reports_identical(got, want):
 @pytest.fixture(scope="module")
 def serial_service():
     service = ContinuousTuningService(
-        make_registry(), pool=SimulationPool(max_workers=1)
+        make_registry(), backend=ProcessPoolBackend(max_workers=1)
     )
     yield service
     service.close()
@@ -122,9 +133,9 @@ def serial_run(serial_service):
 @pytest.fixture(scope="module")
 def parallel_run():
     with ContinuousTuningService(
-        make_registry(), pool=SimulationPool(max_workers=2)
+        make_registry(), backend=ProcessPoolBackend(max_workers=2)
     ) as service:
-        assert service.pool.parallel
+        assert service.backend.max_workers > 1
         yield service.run_campaigns(scenario="diurnal-baseline", **CAMPAIGN_KW)
 
 
@@ -132,7 +143,7 @@ def parallel_run():
 def backend_run(request, tmp_path_factory):
     """The same fleet campaign executed once per execution backend."""
     if request.param == "serial":
-        backend = SerialBackend()
+        backend = ProcessPoolBackend(max_workers=1)
     elif request.param == "pool":
         backend = ProcessPoolBackend(max_workers=2)
     else:
@@ -140,9 +151,41 @@ def backend_run(request, tmp_path_factory):
             tmp_path_factory.mktemp("spool"), workers=2
         )
     with ContinuousTuningService(make_registry(), backend=backend) as service:
-        report = service.run_campaigns(scenario="diurnal-baseline", **CAMPAIGN_KW)
+        campaigns = service.launch(scenario="diurnal-baseline", **CAMPAIGN_KW)
+        report = service._drive(campaigns, "diurnal-baseline", rounds=1)
         assert report.backend == backend.name
-        yield report
+        yield report, final_configs(campaigns)
+
+
+def final_configs(campaigns) -> dict:
+    return {name: campaign.config for name, campaign in campaigns.items()}
+
+
+def campaign_digest(report, configs) -> dict:
+    """Per-tenant golden record of a fleet campaign run.
+
+    The scalar outcome is kept in clear so a mismatch reads at a glance;
+    the audit trail and the rollout waves are hashed, ``repr`` for the
+    waves (floats repr round-trip exactly).
+    """
+    digest = {}
+    for name, tenant in sorted(report.reports.items()):
+        trail = hashlib.sha256()
+        trail.update(repr([
+            (e.round, e.phase.value, e.detail) for e in tenant.history
+        ]).encode())
+        trail.update(repr([repr(w) for w in tenant.rollout_waves]).encode())
+        digest[name] = {
+            "final_phase": tenant.final_phase.value,
+            "rounds_run": tenant.rounds_run,
+            "deployments": tenant.deployments,
+            "rollbacks": tenant.rollbacks,
+            "capacity_before": tenant.capacity_before,
+            "capacity_after": tenant.capacity_after,
+            "config_fingerprint": config_fingerprint(configs[name]),
+            "history_and_waves_sha256": trail.hexdigest(),
+        }
+    return digest
 
 
 # ----------------------------------------------------------------------
@@ -304,10 +347,10 @@ class TestRequestsAndCache:
 
     def test_pool_validation_and_empty_batch(self):
         with pytest.raises(ServiceError):
-            SimulationPool(max_workers=0)
-        pool = SimulationPool(max_workers=1)
-        assert pool.run([]) == []
-        assert not pool.parallel
+            ProcessPoolBackend(max_workers=0)
+        backend = ProcessPoolBackend(max_workers=1)
+        assert backend.run([]) == []
+        assert backend.max_workers == 1
 
     def _poisoned_request(self):
         """Valid to construct, fails inside the worker: the scenario drains
@@ -339,7 +382,7 @@ class TestRequestsAndCache:
             self._observe_request(tag=f"sibling/{i}") for i in range(2)
         ]
         batch = [siblings[0], self._poisoned_request(), siblings[1]]
-        with SimulationPool(max_workers=max_workers) as pool:
+        with ProcessPoolBackend(max_workers=max_workers) as pool:
             with pytest.raises(
                 ServiceError, match=r"tenant='poison', kind='observe'"
             ) as excinfo:
@@ -356,12 +399,12 @@ class TestRequestsAndCache:
             # match a fresh pool's bit for bit.
             assert pool.executed == len(batch)
             after = pool.run(siblings)
-        with SimulationPool(max_workers=1) as reference_pool:
+        with ProcessPoolBackend(max_workers=1) as reference_pool:
             reference = reference_pool.run(siblings)
         for got, want in zip(after, reference, strict=True):
             assert got.tenant == want.tenant
             assert got.workload_tag == want.workload_tag
-            assert len(got.records) == len(want.records)
+            assert got.frame == want.frame
             assert got.snapshot == want.snapshot
         for got, want in zip(salvaged, reference, strict=True):
             assert got.snapshot == want.snapshot
@@ -378,7 +421,7 @@ class TestRequestsAndCache:
             decommission_hour=1.0,
         )
         with ContinuousTuningService(
-            registry, pool=SimulationPool(max_workers=1)
+            registry, backend=ProcessPoolBackend(max_workers=1)
         ) as service:
             service.catalog.register(poison)
             healthy = service.launch(
@@ -391,11 +434,11 @@ class TestRequestsAndCache:
             campaigns = {**healthy, **doomed}
             with pytest.raises(ServiceError, match=r"tenant='north'"):
                 service.step(campaigns)
-            executed = service.pool.executed
+            executed = service.backend.executed
             # The healthy tenants' windows were salvaged into the cache:
             # re-running just them simulates nothing new.
             service.step(healthy)
-            assert service.pool.executed == executed
+            assert service.backend.executed == executed
             assert service.cache.stats.hits >= 2
 
 
@@ -443,7 +486,7 @@ class TestCacheSizing:
 
         registry = make_registry()
         with ContinuousTuningService(
-            registry, pool=SimulationPool(max_workers=1), cache_budget_mb=32.0
+            registry, backend=ProcessPoolBackend(max_workers=1), cache_budget_mb=32.0
         ) as service:
             assert service.cache.max_entries == derive_cache_entries(
                 registry, budget_mb=32.0
@@ -455,90 +498,10 @@ class TestCacheSizing:
         with pytest.raises(ServiceError):
             derive_cache_entries(make_registry(), budget_mb=0.0)
 
-    def test_columnar_sizing_beats_legacy_record_sizing(self):
-        """Cached outcomes now carry a columnar frame, not a record list.
-        Sizing the cache off the legacy dataclass measurement would starve
-        the bound: a frame row is a handful of fixed-width column slots, so
-        it must measure several times leaner than the boxed record, and the
-        derived bound must admit strictly more outcomes than the old
-        record-sized estimate for the same budget."""
-        from repro.service.service import (
-            _REQUESTS_PER_ROUND,
-            MAX_CACHE_ENTRIES,
-            _measured_frame_row_bytes,
-            _measured_record_bytes,
-        )
-        from repro.service import derive_cache_entries
-
-        frame_row = _measured_frame_row_bytes()
-        record_bytes = _measured_record_bytes()
-        assert frame_row * 3 < record_bytes
-
-        registry = make_registry()
-        machines = max(spec.fleet_spec.total_machines for spec in registry)
-        rows_per_window = machines * 24
-        budget_mb = 64.0
-        # The bound the old record-based measurement would have derived.
-        legacy_bound = min(
-            max(
-                len(registry) * 4 * _REQUESTS_PER_ROUND,
-                int((budget_mb * 1024 * 1024) // (rows_per_window * record_bytes)),
-            ),
-            MAX_CACHE_ENTRIES,
-        )
-        derived = derive_cache_entries(registry, budget_mb=budget_mb)
-        assert derived > legacy_bound
-
-    def test_record_footprint_counts_container_contents(self):
-        """The shallow-sum bug, regressed: ``sys.getsizeof`` on the queue's
-        waits list reports the list shell only, so the six float samples
-        went uncounted and the derived bound over-promised how many records
-        fit the budget. The deep measure must exceed the old shallow sum by
-        exactly the waits' element payload (the probe's only container)."""
-        import sys
-
-        from repro.service.service import (
-            _deep_getsizeof,
-            _measured_record_bytes,
-        )
-        from repro.telemetry.records import MachineHourRecord, QueueStats
-
-        waits = [30.0] * 6
-        assert _deep_getsizeof(waits) == sys.getsizeof(waits) + sum(
-            sys.getsizeof(w) for w in waits
-        )
-        measured = _measured_record_bytes()
-        # Rebuild the pre-fix shallow sum over an identical probe record.
-        probe = MachineHourRecord(
-            machine_id=0, machine_name="m000000", sku="Gen 1.1",
-            software="SC1", rack=0, row=0, subcluster=0, hour=0,
-            cpu_utilization=0.5, avg_running_containers=4.0,
-            total_data_read_bytes=1.0e9, tasks_finished=12,
-            total_cpu_seconds=1800.0, total_task_seconds=3600.0,
-            avg_cores_in_use=8.0, avg_ram_gb_in_use=32.0,
-            avg_ssd_gb_in_use=100.0, avg_power_watts=300.0,
-            power_cap_watts=None, feature_enabled=False,
-            max_running_containers=8,
-            queue=QueueStats(avg_length=0.5, enqueued=6, dequeued=6,
-                             waits=[30.0] * 6),
-        )
-        shallow = sys.getsizeof(probe)
-        for name in MachineHourRecord.__slots__:
-            value = getattr(probe, name)
-            shallow += sys.getsizeof(value)
-            if isinstance(value, QueueStats):
-                shallow += sum(
-                    sys.getsizeof(getattr(value, n))
-                    for n in QueueStats.__slots__
-                )
-        wait_payload = sum(sys.getsizeof(w) for w in probe.queue.waits)
-        assert measured == shallow + wait_payload
-        assert wait_payload > 0
-
     def test_auto_cache_grows_to_fit_a_bigger_launch(self):
         registry = make_registry()
         with ContinuousTuningService(
-            registry, pool=SimulationPool(max_workers=1), cache_budget_mb=0.25
+            registry, backend=ProcessPoolBackend(max_workers=1), cache_budget_mb=0.25
         ) as service:
             floor = len(registry) * 4 * 3
             assert service.cache.max_entries == floor
@@ -549,7 +512,7 @@ class TestCacheSizing:
         # A user-supplied cache is never resized.
         with ContinuousTuningService(
             make_registry(),
-            pool=SimulationPool(max_workers=1),
+            backend=ProcessPoolBackend(max_workers=1),
             cache=SimulationCache(max_entries=7),
         ) as service:
             service.launch(scenario="diurnal-baseline", rounds=20)
@@ -726,17 +689,24 @@ class TestEndToEnd:
     ):
         """Inline, process-pooled, and file-queued execution all produce
         the same fleet report bit for bit."""
-        assert_fleet_reports_identical(backend_run, serial_run)
+        report, _configs = backend_run
+        assert_fleet_reports_identical(report, serial_run)
+
+    def test_every_backend_matches_the_golden_digest(self, backend_run):
+        """The campaign outputs match the committed digest, so a refactor
+        is verified across builds, not only across backends."""
+        golden = json.loads(GOLDEN_PATH.read_text())
+        assert campaign_digest(*backend_run) == golden
 
     def test_cache_absorbs_a_repeated_campaign(self, serial_service, serial_run):
-        executed_before = serial_service.pool.executed
+        executed_before = serial_service.backend.executed
         rerun = serial_service.run_campaigns(
             scenario="diurnal-baseline", **CAMPAIGN_KW
         )
         # Every simulation of the identical campaign is a cache hit, and the
         # report's stats cover this run alone (not lifetime totals).
         assert rerun.simulations_executed == 0
-        assert serial_service.pool.executed == executed_before
+        assert serial_service.backend.executed == executed_before
         assert rerun.cache_stats.hits >= serial_run.simulations_executed
         assert rerun.cache_stats.misses == 0
         for name, report in rerun.reports.items():
@@ -752,7 +722,7 @@ class TestEndToEnd:
         registry = FleetRegistry()
         registry.add(TenantSpec(name="west", fleet_spec=small_fleet_spec(), seed=23))
         with ContinuousTuningService(
-            registry, pool=SimulationPool(max_workers=1), guardrails=guardrails
+            registry, backend=ProcessPoolBackend(max_workers=1), guardrails=guardrails
         ) as service:
             result = service.run_campaigns(
                 scenario="diurnal-baseline",
@@ -784,7 +754,7 @@ class TestMultiRound:
         registry = FleetRegistry()
         registry.add(TenantSpec(name="west", fleet_spec=small_fleet_spec(), seed=23))
         with ContinuousTuningService(
-            registry, pool=SimulationPool(max_workers=1)
+            registry, backend=ProcessPoolBackend(max_workers=1)
         ) as service:
             result = service.run_campaigns(
                 scenario="diurnal-baseline", rounds=2, **CAMPAIGN_KW
@@ -808,3 +778,19 @@ class TestMultiRound:
         tag_round_1 = campaign.workload_tag("observe")
         campaign.round = 2
         assert campaign.workload_tag("observe") != tag_round_1
+
+
+def _write() -> None:
+    with ContinuousTuningService(make_registry()) as service:
+        campaigns = service.launch(scenario="diurnal-baseline", **CAMPAIGN_KW)
+        report = service._drive(campaigns, "diurnal-baseline", rounds=1)
+    digest = campaign_digest(report, final_configs(campaigns))
+    GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    GOLDEN_PATH.write_text(json.dumps(digest, indent=2, sort_keys=True) + "\n")
+    print(json.dumps(digest, indent=2, sort_keys=True))
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python -m tests.test_service --write")
+    _write()

@@ -30,8 +30,8 @@ from repro.service import (
     CampaignPhase,
     ContinuousTuningService,
     FleetRegistry,
+    ProcessPoolBackend,
     SimulationOutcome,
-    SimulationPool,
     SimulationRequest,
     TenantSpec,
     config_fingerprint,
@@ -497,7 +497,7 @@ class TestQueueRolloutEndToEnd:
         )
         guardrails = CampaignGuardrails(require_flight_significance=False)
         with ContinuousTuningService(
-            registry, pool=SimulationPool(max_workers=1), guardrails=guardrails
+            registry, backend=ProcessPoolBackend(max_workers=1), guardrails=guardrails
         ) as service:
             return service.run_campaigns(
                 scenario="sustained-overload",
