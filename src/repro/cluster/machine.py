@@ -37,7 +37,6 @@ from repro.cluster import power as power_model
 from repro.cluster.config import GroupLimits
 from repro.cluster.sku import Sku
 from repro.cluster.software import MachineGroupKey, SoftwareConfig
-from repro.telemetry.records import MachineHourRecord, QueueStats
 
 __all__ = ["Machine", "QueuedTask", "RAM_BASE_GB", "SSD_BASE_GB"]
 
@@ -97,6 +96,8 @@ class Machine:
         "_uncapped_seconds",
         "_uncapped_util_pow_seconds",
         "_fault_seconds",
+        "_peak_running",
+        "_window_start",
         # Configuration constants of the duration model (see _refresh).
         "_cores",
         "_speed",
@@ -286,6 +287,8 @@ class Machine:
         """Admit one container now; return its execution duration in seconds."""
         self.advance(now)
         self.n_running += 1
+        if self.n_running > self._peak_running:
+            self._peak_running = self.n_running
         self.active_cores += cpu_fraction
         self.ram_gb_in_use += ram_gb
         self.ssd_gb_in_use += ssd_gb
@@ -370,17 +373,11 @@ class Machine:
     # ------------------------------------------------------------------
     # Telemetry
     # ------------------------------------------------------------------
-    def _finish_hour(self, now: float) -> tuple:
-        """Close the hour's integrals and return the computed hour values.
+    def flush_hour_into(self, now: float, hour: int, frame) -> None:
+        """Close the hour ending at ``now``, append it to ``frame``, and reset.
 
-        Shared between the columnar and record-level flush paths so the two
-        can never drift. Returns the value tuple *before* resetting, in
-        record-field order: (cpu_utilization, avg_running_containers,
-        total_data_read_bytes, tasks_finished, total_cpu_seconds,
-        total_task_seconds, avg_cores_in_use, avg_ram_gb_in_use,
-        avg_ssd_gb_in_use, avg_power_watts, queue_avg_length,
-        queue_enqueued, queue_dequeued, queue_waits, available_fraction,
-        faulted).
+        The simulator hot path: the hour's values land directly in the
+        frame's column buffers, computed from the exact time integrals.
         """
         self.advance(now)
         seconds = 3600.0
@@ -392,53 +389,13 @@ class Machine:
                 self.sku.power_idle_watts * self._uncapped_seconds
                 + dynamic * self._uncapped_util_pow_seconds
             )
-        values = (
-            self._int_active_cores / (self.sku.cores * seconds),
-            self._int_containers / seconds,
-            self._int_io_bytes,
-            self._tasks_finished,
-            self._cpu_seconds,
-            self._task_seconds,
-            self._int_active_cores / seconds,
-            self._int_ram / seconds,
-            self._int_ssd / seconds,
-            self._int_power / seconds,
-            self._int_queue_len / seconds,
-            self._queue_enqueued,
-            self._queue_dequeued,
-            self._queue_waits,
-            # 0.0 fault-seconds divides to exactly 0.0, so the no-fault
-            # availability is the literal 1.0 every consumer expects.
-            1.0 - self._fault_seconds / seconds,
-            self._fault_seconds > 0.0,
+        # Summing n·dt pieces can round a window spent entirely at its peak
+        # container count a few ulps past peak × window; the exact integral
+        # never exceeds that product, so an overshoot is rounding: cut it.
+        containers = min(
+            self._int_containers,
+            self._peak_running * (self._last_update - self._window_start),
         )
-        self._reset_accumulators()
-        return values
-
-    def flush_hour_into(self, now: float, hour: int, frame) -> None:
-        """Append the machine-hour ending at ``now`` straight into ``frame``.
-
-        The simulator hot path: no per-record dataclass is allocated — the
-        hour's values land directly in the frame's column buffers.
-        """
-        (
-            cpu_utilization,
-            avg_running_containers,
-            total_data_read_bytes,
-            tasks_finished,
-            total_cpu_seconds,
-            total_task_seconds,
-            avg_cores_in_use,
-            avg_ram_gb_in_use,
-            avg_ssd_gb_in_use,
-            avg_power_watts,
-            queue_avg_length,
-            queue_enqueued,
-            queue_dequeued,
-            queue_waits,
-            available_fraction,
-            faulted,
-        ) = self._finish_hour(now)
         # Positional call in append_hour's declared order: this runs once
         # per machine-hour, and keyword packing is measurable at fleet scale.
         frame.append_hour(
@@ -450,78 +407,29 @@ class Machine:
             self.row,
             self.subcluster,
             hour,
-            cpu_utilization,
-            avg_running_containers,
-            total_data_read_bytes,
-            tasks_finished,
-            total_cpu_seconds,
-            total_task_seconds,
-            avg_cores_in_use,
-            avg_ram_gb_in_use,
-            avg_ssd_gb_in_use,
-            avg_power_watts,
+            self._int_active_cores / (self.sku.cores * seconds),
+            containers / seconds,
+            self._int_io_bytes,
+            self._tasks_finished,
+            self._cpu_seconds,
+            self._task_seconds,
+            self._int_active_cores / seconds,
+            self._int_ram / seconds,
+            self._int_ssd / seconds,
+            self._int_power / seconds,
             self.cap_watts,
             self.feature_enabled,
             self.max_running_containers,
-            queue_avg_length,
-            queue_enqueued,
-            queue_dequeued,
-            queue_waits,
-            available_fraction,
-            faulted,
+            self._int_queue_len / seconds,
+            self._queue_enqueued,
+            self._queue_dequeued,
+            self._queue_waits,
+            # 0.0 fault-seconds divides to exactly 0.0, so the no-fault
+            # availability is the literal 1.0 every consumer expects.
+            1.0 - self._fault_seconds / seconds,
+            self._fault_seconds > 0.0,
         )
-
-    def flush_hour(self, now: float, hour: int) -> MachineHourRecord:
-        """Emit the machine-hour record ending at ``now`` and reset integrals."""
-        (
-            cpu_utilization,
-            avg_running_containers,
-            total_data_read_bytes,
-            tasks_finished,
-            total_cpu_seconds,
-            total_task_seconds,
-            avg_cores_in_use,
-            avg_ram_gb_in_use,
-            avg_ssd_gb_in_use,
-            avg_power_watts,
-            queue_avg_length,
-            queue_enqueued,
-            queue_dequeued,
-            queue_waits,
-            available_fraction,
-            faulted,
-        ) = self._finish_hour(now)
-        return MachineHourRecord(
-            machine_id=self.machine_id,
-            machine_name=self.name,
-            sku=self.sku.name,
-            software=self.software.name,
-            rack=self.rack,
-            row=self.row,
-            subcluster=self.subcluster,
-            hour=hour,
-            cpu_utilization=cpu_utilization,
-            avg_running_containers=avg_running_containers,
-            total_data_read_bytes=total_data_read_bytes,
-            tasks_finished=tasks_finished,
-            total_cpu_seconds=total_cpu_seconds,
-            total_task_seconds=total_task_seconds,
-            avg_cores_in_use=avg_cores_in_use,
-            avg_ram_gb_in_use=avg_ram_gb_in_use,
-            avg_ssd_gb_in_use=avg_ssd_gb_in_use,
-            avg_power_watts=avg_power_watts,
-            power_cap_watts=self.cap_watts,
-            feature_enabled=self.feature_enabled,
-            max_running_containers=self.max_running_containers,
-            available_fraction=available_fraction,
-            faulted=faulted,
-            queue=QueueStats(
-                avg_length=queue_avg_length,
-                enqueued=queue_enqueued,
-                dequeued=queue_dequeued,
-                waits=queue_waits,
-            ),
-        )
+        self._reset_accumulators()
 
     def apply_limits(self, limits: GroupLimits) -> None:
         """Apply new YARN limits (running tasks are never killed)."""
@@ -545,6 +453,8 @@ class Machine:
         self._queue_enqueued = 0
         self._queue_dequeued = 0
         self._fault_seconds = 0.0
+        self._peak_running = self.n_running
+        self._window_start = self._last_update
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -2,14 +2,14 @@
 
 Drives a :class:`~repro.cluster.cluster.Cluster` under a
 :class:`~repro.workload.generator.Workload` and produces exactly the
-telemetry the paper's Performance Monitor exposes: machine-hour records, job
+telemetry the paper's Performance Monitor exposes: a machine-hour frame, job
 records, an (optionally sampled) task log, and fine-grained resource samples.
 
 Event kinds, in priority order at equal timestamps:
 
 * ``HOUR`` — telemetry flush for every machine. Runs first so a config
   change scheduled exactly at an hour boundary does not leak into the
-  previous hour's records.
+  previous hour's telemetry.
 * ``ACTION`` — a scheduled callback (flighting deployments, config changes,
   power-cap changes). Runs before arrivals/finishes of the same instant.
 * ``ARRIVAL`` — a job arrives; its first stage's tasks are placed.
@@ -45,12 +45,7 @@ from repro.cluster.scheduler import YarnScheduler
 from repro.obs.profile import SimulatorProfile
 from repro.obs.trace import current_tracer
 from repro.telemetry.frame import MachineHourFrame
-from repro.telemetry.records import (
-    JobRecord,
-    MachineHourRecord,
-    ResourceSample,
-    TaskLog,
-)
+from repro.telemetry.records import JobRecord, ResourceSample, TaskLog
 from repro.utils.errors import SchedulingError
 from repro.utils.rng import RngStreams
 from repro.utils.units import SECONDS_PER_HOUR
@@ -168,9 +163,7 @@ class SimulationResult:
     """Everything a simulation run produced.
 
     Machine-hour telemetry lives in a columnar
-    :class:`~repro.telemetry.frame.MachineHourFrame`; :attr:`records` stays
-    available as the frame's lazy, cached record materialization so
-    record-level consumers keep working unchanged.
+    :class:`~repro.telemetry.frame.MachineHourFrame`.
     """
 
     frame: MachineHourFrame = field(default_factory=MachineHourFrame)
@@ -190,11 +183,6 @@ class SimulationResult:
     # Wall-clock attribution of the run itself (placement / event processing
     # / telemetry rollup). Out-of-band: never read by simulation logic.
     profile: SimulatorProfile = field(default_factory=SimulatorProfile)
-
-    @property
-    def records(self) -> list[MachineHourRecord]:
-        """Record-level view of the telemetry frame (lazy, cached)."""
-        return self.frame.to_records()
 
     @property
     def tasks_per_day(self) -> float:

@@ -21,6 +21,7 @@ from repro.core.application import (
 from repro.experiment.ab import ABReport, compare_groups
 from repro.experiment.design import GroupAssignment, ideal_setting
 from repro.flighting.build import FlightPlan, PlannedFlight, SoftwareBuild
+from repro.telemetry.frame import MachineHourFrame
 from repro.telemetry.monitor import PerformanceMonitor
 from repro.utils.errors import ExperimentError
 from repro.utils.rng import RngStreams
@@ -125,12 +126,12 @@ class ScSelectionExperiment:
 
     def analyze(
         self,
-        simulator_result_records,
+        frame: MachineHourFrame,
         assignment: GroupAssignment,
         n_days: float,
     ) -> ScSelectionResult:
         """Produce the Table 4 report from collected telemetry."""
-        monitor = PerformanceMonitor(simulator_result_records)
+        monitor = PerformanceMonitor(frame)
         report = compare_groups(
             name="SC1-vs-SC2",
             monitor=monitor,

@@ -21,7 +21,6 @@ configuration change, not workload luck.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -400,34 +399,6 @@ class Kea:
             engine=engine,
             proposal=proposal,
         )
-
-    def tune_yarn_config(
-        self,
-        observation: Observation | None = None,
-        engine: WhatIfEngine | None = None,
-        **tuner_kwargs,
-    ) -> YarnTuningResult:
-        """Observational tuning of max running containers (Section 5.2).
-
-        .. deprecated:: 1.2
-           Use ``Kea.tune(application="yarn-config")`` (or
-           :meth:`run_application`); this shim returns the same
-           :class:`YarnTuningResult` from ``TuningProposal.details``.
-        """
-        warnings.warn(
-            "Kea.tune_yarn_config() is deprecated; use "
-            "Kea.tune(application='yarn-config') / "
-            "Kea.run_application('yarn-config') instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        proposal = self.tune(
-            "yarn-config",
-            observation=observation,
-            engine=engine,
-            **tuner_kwargs,
-        )
-        return proposal.details
 
     # ------------------------------------------------------------------
     # Flighting + deployment

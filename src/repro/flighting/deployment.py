@@ -27,11 +27,6 @@ start, never re-run as gated waves. Every applied wave additionally records a
 treatment effect (:attr:`RolloutWaveRecord.impact`): machines flighted so far
 vs machines not yet covered, measured on machine-hour throughput inside the
 wave's soak window via :func:`repro.stats.treatment.population_effect`.
-
-The legacy all-at-once :class:`~repro.cluster.config.YarnConfig` target path
-survives as a thin shim: :meth:`DeploymentModule.staged_plan` converts a
-target config into per-group :class:`~repro.flighting.build.YarnLimitsBuild`
-waves honouring the ±``max_step`` rule.
 """
 
 from __future__ import annotations
@@ -49,7 +44,6 @@ from repro.flighting.build import (
     ContainerDeltaBuild,
     FlightPlan,
     PlannedFlight,
-    YarnLimitsBuild,
 )
 from repro.flighting.safety import GateVerdict, LatencyRegressionGate, SafetyGate
 from repro.obs.metrics import OPS_METRICS
@@ -58,7 +52,6 @@ import numpy as np
 
 from repro.stats.treatment import TreatmentEffect, population_effect
 from repro.telemetry.frame import MachineHourFrame
-from repro.telemetry.records import MachineHourRecord
 from repro.utils.errors import ConfigurationError
 from repro.utils.units import hours
 
@@ -582,43 +575,6 @@ class DeploymentModule:
             )
         return clamped
 
-    def staged_plan(
-        self,
-        target: YarnConfig,
-        start_hour: float = 0.0,
-        wave_gap_hours: float | None = None,
-        fractions: tuple[float, ...] = DEFAULT_WAVE_FRACTIONS,
-    ) -> RolloutPlan:
-        """Stage a legacy all-at-once ``YarnConfig`` target (thin shim).
-
-        The target is clamped to ±``max_step`` and decomposed into one
-        :class:`~repro.flighting.build.YarnLimitsBuild` per machine group
-        present in the cluster, then staged under the default wave schedule.
-        """
-        clamped = self.clamp_to_step(target)
-        entries = []
-        for key in sorted(self.cluster.machines_by_group()):
-            limits = clamped.for_group(key)
-            entries.append(
-                PlannedFlight(
-                    build=YarnLimitsBuild(
-                        max_running_containers=limits.max_running_containers,
-                        max_queued_containers=limits.max_queued_containers,
-                    ),
-                    group=key,
-                    name=f"rollout-{key.label}",
-                )
-            )
-        policy = RolloutPolicy(
-            fractions=fractions,
-            start_hour=start_hour,
-            wave_gap_hours=wave_gap_hours,
-            max_step=None,  # the target was already clamped above
-        )
-        # Group selectors are disjoint by construction; schedule/execute
-        # validates before anything deploys, so no extra fleet scan here.
-        return policy.plan(FlightPlan(entries=tuple(entries)))
-
     # ------------------------------------------------------------------
     # Execution on a simulator
     # ------------------------------------------------------------------
@@ -987,7 +943,7 @@ class DeploymentModule:
     # ------------------------------------------------------------------
     @staticmethod
     def attach_wave_impacts(
-        telemetry: MachineHourFrame | list[MachineHourRecord],
+        frame: MachineHourFrame,
         execution: RolloutExecution,
     ) -> None:
         """Fill every deployed wave record's ``impact`` from run telemetry.
@@ -1016,15 +972,10 @@ class DeploymentModule:
 
         # One stable sort of the telemetry columns by hour: each window then
         # slices its own hour span with searchsorted and masks by membership
-        # instead of rescanning records per arm. The stable sort preserves
-        # within-hour record order (and matches the old hour-bucketing even
+        # instead of rescanning rows per arm. The stable sort preserves
+        # within-hour row order (and matches the old hour-bucketing even
         # for out-of-order input), so the contrast arms see exactly the
-        # value sequences a linear record scan produced.
-        frame = (
-            telemetry
-            if isinstance(telemetry, MachineHourFrame)
-            else MachineHourFrame.from_records(telemetry)
-        )
+        # value sequences a linear row scan produced.
         order = np.argsort(frame.column("hour"), kind="stable")
         hours_sorted = frame.column("hour")[order]
         machine_ids = frame.column("machine_id")[order]

@@ -1,5 +1,5 @@
-"""Telemetry: records, the Table 2 metric registry, the Performance Monitor,
-and dashboard-style views."""
+"""Telemetry: the machine-hour frame, job/task/resource records, the Table 2
+metric registry, the Performance Monitor, and dashboard-style views."""
 
 from repro.telemetry.export import (
     read_machine_hours_csv,
@@ -11,7 +11,6 @@ from repro.telemetry.metrics import (
     DEFAULT_REGISTRY,
     Metric,
     MetricRegistry,
-    metric_values,
 )
 from repro.telemetry.monitor import (
     MachineDayRecord,
@@ -20,8 +19,6 @@ from repro.telemetry.monitor import (
 )
 from repro.telemetry.records import (
     JobRecord,
-    MachineHourRecord,
-    QueueStats,
     ResourceSample,
     TaskLog,
 )
@@ -41,13 +38,10 @@ __all__ = [
     "DEFAULT_REGISTRY",
     "Metric",
     "MetricRegistry",
-    "metric_values",
     "MachineDayRecord",
     "MonitorSnapshot",
     "PerformanceMonitor",
     "JobRecord",
-    "MachineHourRecord",
-    "QueueStats",
     "ResourceSample",
     "TaskLog",
     "PercentileBands",

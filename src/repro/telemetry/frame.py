@@ -1,22 +1,18 @@
 """Columnar (struct-of-arrays) storage for machine-hour telemetry.
 
-Every KEA consumer ultimately loops over machine-hour observations, and at
-fleet scale (thousands of machines × days of hours) per-record Python
-dataclasses dominate both the simulator's telemetry-rollup phase and every
-downstream pass (filters, metric extraction, percentile views). A
-:class:`MachineHourFrame` stores the same observations as one buffer per
-field — numeric fields as flat arrays, string fields as categorical codes,
-and the ragged per-hour queue-wait samples as one flat array plus offsets —
-so that:
+The Performance Monitor (Section 4.1 of the paper) turns fleet telemetry into
+machine-hour observations, the only thing KEA's models see. A
+:class:`MachineHourFrame` is the one representation of those observations:
+one buffer per field — numeric fields as flat arrays, string fields as
+categorical codes, and the ragged per-hour queue-wait samples as one flat
+array plus offsets — so that:
 
-* the simulator's hourly flush appends scalars into column buffers instead
-  of allocating a 30-field dataclass per machine-hour;
+* the simulator's hourly flush appends scalars into column buffers
+  (:meth:`MachineHourFrame.append_hour` is the only append entry point);
 * monitors filter with boolean masks and extract metrics as single numpy
-  expressions instead of re-looping in Python;
-* the record-level API stays intact: :meth:`to_records` materializes the
-  exact :class:`~repro.telemetry.records.MachineHourRecord` list (cached,
-  bit-identical floats and queue waits), so existing per-record consumers
-  keep working unchanged.
+  expressions;
+* derived per-row values (the guarded Table 2 ratios, the group label, the
+  queue-wait summaries) are column methods, not per-row objects.
 
 Append buffers are plain Python lists (O(1) appends on the simulator hot
 path); numpy views are materialized lazily per column and cached until the
@@ -25,15 +21,11 @@ next append invalidates them.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 import numpy as np
-
-from repro.telemetry.records import MachineHourRecord, QueueStats
 
 __all__ = ["MachineHourFrame"]
 
-#: Integer-valued columns, in record-field order.
+#: Integer-valued columns.
 INT_COLUMNS = (
     "machine_id",
     "rack",
@@ -83,11 +75,10 @@ _NAN = float("nan")
 def ratio_columns(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """Elementwise ``num / den`` with 0.0 where ``den <= 0``.
 
-    Matches the per-record derived-metric convention exactly (the guarded
-    properties on :class:`MachineHourRecord` return 0.0 on a non-positive
-    denominator); IEEE-754 double division is bitwise identical between
-    Python floats and numpy float64, so the vectorized path reproduces the
-    scalar one bit for bit.
+    The guarded-ratio convention of every derived machine-hour metric: a
+    non-positive denominator yields 0.0. IEEE-754 double division is bitwise
+    identical between Python floats and numpy float64, so the vectorized
+    ratio equals the scalar ``num / den`` bit for bit.
     """
     num = np.asarray(num, dtype=np.float64)
     den = np.asarray(den, dtype=np.float64)
@@ -97,7 +88,7 @@ def ratio_columns(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 class MachineHourFrame:
-    """Struct-of-arrays machine-hour telemetry with an exact record view."""
+    """Struct-of-arrays machine-hour telemetry."""
 
     __slots__ = (
         "_columns",
@@ -107,7 +98,6 @@ class MachineHourFrame:
         "_waits",
         "_wait_offsets",
         "_arrays",
-        "_records",
         "_appenders",
     )
 
@@ -127,7 +117,6 @@ class MachineHourFrame:
         self._wait_offsets: list[int] = [0]
         # Lazy caches, invalidated by any append.
         self._arrays: dict[str, np.ndarray] = {}
-        self._records: list[MachineHourRecord] | None = None
         # Bound-method fast path for append_hour, built lazily so that
         # anything replacing the buffer lists (take, unpickling) can just
         # drop it.
@@ -167,7 +156,8 @@ class MachineHourFrame:
         faulted: bool = False,
     ) -> None:
         """Append one machine-hour row straight into the column buffers."""
-        self._invalidate()
+        if self._arrays:
+            self._arrays.clear()
         appenders = self._appenders
         if appenders is None:
             appenders = self._bind_appenders()
@@ -272,55 +262,6 @@ class MachineHourFrame:
         )
         return self._appenders
 
-    def append_record(self, record: MachineHourRecord) -> None:
-        """Append one existing record (the record-list ingestion path)."""
-        queue = record.queue
-        self.append_hour(
-            machine_id=record.machine_id,
-            machine_name=record.machine_name,
-            sku=record.sku,
-            software=record.software,
-            rack=record.rack,
-            row=record.row,
-            subcluster=record.subcluster,
-            hour=record.hour,
-            cpu_utilization=record.cpu_utilization,
-            avg_running_containers=record.avg_running_containers,
-            total_data_read_bytes=record.total_data_read_bytes,
-            tasks_finished=record.tasks_finished,
-            total_cpu_seconds=record.total_cpu_seconds,
-            total_task_seconds=record.total_task_seconds,
-            avg_cores_in_use=record.avg_cores_in_use,
-            avg_ram_gb_in_use=record.avg_ram_gb_in_use,
-            avg_ssd_gb_in_use=record.avg_ssd_gb_in_use,
-            avg_power_watts=record.avg_power_watts,
-            power_cap_watts=record.power_cap_watts,
-            feature_enabled=record.feature_enabled,
-            max_running_containers=record.max_running_containers,
-            queue_avg_length=queue.avg_length,
-            queue_enqueued=queue.enqueued,
-            queue_dequeued=queue.dequeued,
-            queue_waits=queue.waits,
-            available_fraction=record.available_fraction,
-            faulted=record.faulted,
-        )
-
-    @classmethod
-    def from_records(
-        cls, records: Iterable[MachineHourRecord]
-    ) -> "MachineHourFrame":
-        """Build a frame from an existing record list."""
-        frame = cls()
-        for record in records:
-            frame.append_record(record)
-        return frame
-
-    def _invalidate(self) -> None:
-        if self._arrays:
-            self._arrays.clear()
-        if self._records is not None:
-            self._records = None
-
     # ------------------------------------------------------------------
     # Column access
     # ------------------------------------------------------------------
@@ -360,8 +301,8 @@ class MachineHourFrame:
     def group_codes(self) -> tuple[np.ndarray, list[str]]:
         """Per-row machine-group codes plus the code → label mapping.
 
-        The group label is ``f"{software}_{sku}"`` exactly as on the record
-        property; codes are dense over the (software, sku) combinations that
+        The group label is ``f"{software}_{sku}"``, e.g. ``'SC2_Gen 4.1'``
+        (the SC–SKU combination); codes are dense over the (software, sku) combinations that
         could occur in this frame.
         """
         n_sku = max(1, len(self._categories["sku"]))
@@ -400,12 +341,7 @@ class MachineHourFrame:
         return array
 
     def queue_p99_wait(self) -> np.ndarray:
-        """Per-row ``QueueStats.p99_wait()`` without materializing records.
-
-        Rows with no waits yield 0.0, exactly like the record method. The
-        percentile itself is order-insensitive, so slicing the flat buffer
-        reproduces the per-record value bit for bit.
-        """
+        """Per-row 99th percentile of the hour's queue waits (0.0 if none)."""
         offsets = self.wait_offsets()
         flat = self.waits_flat()
         out = np.zeros(len(self), dtype=np.float64)
@@ -416,7 +352,7 @@ class MachineHourFrame:
         return out
 
     def queue_mean_wait(self) -> np.ndarray:
-        """Per-row ``QueueStats.mean_wait()`` (0.0 on empty rows)."""
+        """Per-row mean of the hour's queue waits (0.0 if none)."""
         offsets = self.wait_offsets()
         flat = self.waits_flat()
         out = np.zeros(len(self), dtype=np.float64)
@@ -427,87 +363,35 @@ class MachineHourFrame:
         return out
 
     # ------------------------------------------------------------------
-    # Derived columns (the guarded record properties, vectorized)
+    # Derived columns (Table 2 ratios, 0.0 on a non-positive denominator)
     # ------------------------------------------------------------------
     def bytes_per_second(self) -> np.ndarray:
-        """Vectorized ``MachineHourRecord.bytes_per_second``."""
+        """Table 2 'Bytes per Second': data read over total task time."""
         return ratio_columns(
             self.column("total_data_read_bytes"), self.column("total_task_seconds")
         )
 
     def bytes_per_cpu_time(self) -> np.ndarray:
-        """Vectorized ``MachineHourRecord.bytes_per_cpu_time``."""
+        """Table 2 'Bytes per CPU Time': data read over total CPU time."""
         return ratio_columns(
             self.column("total_data_read_bytes"), self.column("total_cpu_seconds")
         )
 
     def avg_task_seconds(self) -> np.ndarray:
-        """Vectorized ``MachineHourRecord.avg_task_seconds``."""
+        """Mean execution time of the tasks finished in each hour."""
         return ratio_columns(
             self.column("total_task_seconds"), self.column("tasks_finished")
         )
 
     # ------------------------------------------------------------------
-    # Record materialization / slicing
+    # Slicing
     # ------------------------------------------------------------------
-    def to_records(self) -> list[MachineHourRecord]:
-        """The exact record-level view (cached until the next append)."""
-        if self._records is None:
-            cols = self._columns
-            name_cats = self._categories["machine_name"]
-            sku_cats = self._categories["sku"]
-            sw_cats = self._categories["software"]
-            name_codes = self._codes["machine_name"]
-            sku_codes = self._codes["sku"]
-            sw_codes = self._codes["software"]
-            offsets = self._wait_offsets
-            waits = self._waits
-            self._records = [
-                MachineHourRecord(
-                    machine_id=cols["machine_id"][i],
-                    machine_name=name_cats[name_codes[i]],
-                    sku=sku_cats[sku_codes[i]],
-                    software=sw_cats[sw_codes[i]],
-                    rack=cols["rack"][i],
-                    row=cols["row"][i],
-                    subcluster=cols["subcluster"][i],
-                    hour=cols["hour"][i],
-                    cpu_utilization=cols["cpu_utilization"][i],
-                    avg_running_containers=cols["avg_running_containers"][i],
-                    total_data_read_bytes=cols["total_data_read_bytes"][i],
-                    tasks_finished=cols["tasks_finished"][i],
-                    total_cpu_seconds=cols["total_cpu_seconds"][i],
-                    total_task_seconds=cols["total_task_seconds"][i],
-                    avg_cores_in_use=cols["avg_cores_in_use"][i],
-                    avg_ram_gb_in_use=cols["avg_ram_gb_in_use"][i],
-                    avg_ssd_gb_in_use=cols["avg_ssd_gb_in_use"][i],
-                    avg_power_watts=cols["avg_power_watts"][i],
-                    power_cap_watts=(
-                        None
-                        if cols["power_cap_watts"][i] != cols["power_cap_watts"][i]
-                        else cols["power_cap_watts"][i]
-                    ),
-                    feature_enabled=cols["feature_enabled"][i],
-                    max_running_containers=cols["max_running_containers"][i],
-                    available_fraction=cols["available_fraction"][i],
-                    faulted=cols["faulted"][i],
-                    queue=QueueStats(
-                        avg_length=cols["queue_avg_length"][i],
-                        enqueued=cols["queue_enqueued"][i],
-                        dequeued=cols["queue_dequeued"][i],
-                        waits=waits[offsets[i] : offsets[i + 1]],
-                    ),
-                )
-                for i in range(len(self))
-            ]
-        return self._records
-
     def take(self, selection) -> "MachineHourFrame":
         """A new frame holding the selected rows (mask or index array).
 
         Row order follows the selection (a boolean mask preserves frame
         order), so downstream order-sensitive reductions (float means/sums)
-        see exactly the subsequence they would have seen record-wise.
+        see the selected rows in exactly that order.
         """
         indices = np.asarray(selection)
         if indices.dtype == np.bool_:
@@ -575,7 +459,7 @@ class MachineHourFrame:
 
     def __getstate__(self) -> dict:
         # Ship compact numpy buffers, never the lazy caches: a pickled frame
-        # crossing the pool boundary re-materializes records on demand.
+        # crossing the pool boundary rebuilds its column arrays on demand.
         return {
             "columns": {name: self.column(name) for name in _ALL_COLUMNS},
             "codes": {name: self.codes(name) for name in CATEGORICAL_COLUMNS},

@@ -1,8 +1,8 @@
 """The machine-group metric registry (Table 2 of the paper).
 
-Every metric is a named extraction over a
-:class:`~repro.telemetry.records.MachineHourRecord`, tagged with the system
-aspect it reflects ("Throughput rate", "CPU processing rate", "Utilization
+Every metric is a named, vectorized extraction over a
+:class:`~repro.telemetry.frame.MachineHourFrame` (one value per machine-hour
+row), tagged with the system aspect it reflects ("Throughput rate", "CPU processing rate", "Utilization
 level", ...). The registry makes metrics first-class: models, optimizers, and
 experiment analyses all refer to metrics by name, so adding a metric here
 makes it available everywhere (the extensibility Section 5.3 describes).
@@ -16,29 +16,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.telemetry.frame import MachineHourFrame
-from repro.telemetry.records import MachineHourRecord
 from repro.utils.errors import TelemetryError
 
-__all__ = ["Metric", "MetricRegistry", "DEFAULT_REGISTRY", "metric_values"]
+__all__ = ["Metric", "MetricRegistry", "DEFAULT_REGISTRY"]
 
 
 @dataclass(frozen=True, slots=True)
 class Metric:
     """A named per machine-hour metric.
 
-    ``extract`` is the per-record definition and always present;
-    ``extract_columns``, when set, computes the same values for a whole
-    :class:`~repro.telemetry.frame.MachineHourFrame` in one vectorized pass
-    (the two must agree bit-for-bit — a registry-wide cross-check test
-    enforces it). Custom metrics may omit ``extract_columns`` and pay the
-    per-record fallback.
+    ``extract`` maps a whole :class:`~repro.telemetry.frame.MachineHourFrame`
+    to one value per row in a single vectorized pass.
     """
 
     name: str
     description: str
     affected_system_metric: str
-    extract: Callable[[MachineHourRecord], float]
-    extract_columns: Callable[[MachineHourFrame], np.ndarray] | None = None
+    extract: Callable[[MachineHourFrame], np.ndarray]
 
 
 def _column(name: str) -> Callable[[MachineHourFrame], np.ndarray]:
@@ -52,42 +46,36 @@ def _build_default_metrics() -> tuple[Metric, ...]:
             "TotalDataRead",
             "Total bytes read per hour per machine",
             "Throughput rate",
-            lambda r: r.total_data_read_bytes,
             _column("total_data_read_bytes"),
         ),
         Metric(
             "NumberOfTasks",
             "Total number of tasks finished per hour per machine",
             "Throughput rate",
-            lambda r: float(r.tasks_finished),
             lambda f: f.column("tasks_finished").astype(np.float64),
         ),
         Metric(
             "BytesPerSecond",
             "Ratio of total data read and total execution time per machine",
             "Throughput rate",
-            lambda r: r.bytes_per_second,
             lambda f: f.bytes_per_second(),
         ),
         Metric(
             "BytesPerCpuTime",
             "Ratio of total data read and total CPU time per machine",
             "CPU processing rate",
-            lambda r: r.bytes_per_cpu_time,
             lambda f: f.bytes_per_cpu_time(),
         ),
         Metric(
             "CpuUtilization",
             "Time-average CPU utilization per hour in percentage",
             "Utilization level",
-            lambda r: r.cpu_utilization,
             _column("cpu_utilization"),
         ),
         Metric(
             "AverageRunningContainers",
             "Time-average running containers per hour",
             "Utilization level",
-            lambda r: r.avg_running_containers,
             _column("avg_running_containers"),
         ),
         # ---- Additional metrics used by KEA applications ------------------
@@ -95,49 +83,42 @@ def _build_default_metrics() -> tuple[Metric, ...]:
             "AverageTaskSeconds",
             "Mean execution time of tasks finished in the hour",
             "Latency",
-            lambda r: r.avg_task_seconds,
             lambda f: f.avg_task_seconds(),
         ),
         Metric(
             "QueueLength",
             "Time-average number of queued containers",
             "Queueing",
-            lambda r: r.queue.avg_length,
             _column("queue_avg_length"),
         ),
         Metric(
             "QueueWaitP99",
             "99th percentile of container queueing latency in the hour",
             "Queueing",
-            lambda r: r.queue.p99_wait(),
             lambda f: f.queue_p99_wait(),
         ),
         Metric(
             "PowerWatts",
             "Time-average power draw in watts",
             "Power",
-            lambda r: r.avg_power_watts,
             _column("avg_power_watts"),
         ),
         Metric(
             "RamInUse",
             "Time-average RAM in use (GB)",
             "Resource usage",
-            lambda r: r.avg_ram_gb_in_use,
             _column("avg_ram_gb_in_use"),
         ),
         Metric(
             "SsdInUse",
             "Time-average SSD in use (GB)",
             "Resource usage",
-            lambda r: r.avg_ssd_gb_in_use,
             _column("avg_ssd_gb_in_use"),
         ),
         Metric(
             "CoresInUse",
             "Time-average CPU cores in use",
             "Resource usage",
-            lambda r: r.avg_cores_in_use,
             _column("avg_cores_in_use"),
         ),
     )
@@ -182,12 +163,3 @@ class MetricRegistry:
 DEFAULT_REGISTRY = MetricRegistry(_build_default_metrics())
 """The registry with all Table 2 metrics plus the KEA application extras."""
 
-
-def metric_values(
-    records: list[MachineHourRecord],
-    name: str,
-    registry: MetricRegistry = DEFAULT_REGISTRY,
-) -> np.ndarray:
-    """Extract one metric from a record list as a float array."""
-    metric = registry.get(name)
-    return np.array([metric.extract(r) for r in records], dtype=float)

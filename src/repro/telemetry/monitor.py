@@ -8,14 +8,12 @@ aggregated at the daily level for a machine").
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.telemetry.frame import MachineHourFrame
 from repro.telemetry.metrics import DEFAULT_REGISTRY, MetricRegistry
-from repro.telemetry.records import MachineHourRecord
 from repro.utils.errors import TelemetryError
 
 __all__ = ["MachineDayRecord", "MonitorSnapshot", "PerformanceMonitor"]
@@ -36,7 +34,7 @@ class MonitorSnapshot:
     """Compact cluster-wide readout of one observation window.
 
     The continuous tuning service ships these between processes instead of
-    raw machine-hour records when only headline numbers are needed (campaign
+    whole machine-hour frames when only headline numbers are needed (campaign
     history lines, fleet dashboards).
     """
 
@@ -114,18 +112,13 @@ class PerformanceMonitor:
 
     Backed by a columnar :class:`~repro.telemetry.frame.MachineHourFrame`:
     filtering, grouping, metric extraction and daily aggregation are all
-    column operations. Accepts either a frame (taken by reference — the
-    simulator's output is shared, not copied) or any iterable of records
-    (ingested into a fresh frame).
+    column operations. The frame is taken by reference (the simulator's
+    output is shared, not copied); a monitor built without one starts from
+    its own empty frame.
     """
 
-    def __init__(
-        self, records: MachineHourFrame | Iterable[MachineHourRecord] = ()
-    ):
-        if isinstance(records, MachineHourFrame):
-            self.frame = records
-        else:
-            self.frame = MachineHourFrame.from_records(records)
+    def __init__(self, frame: MachineHourFrame | None = None):
+        self.frame = MachineHourFrame() if frame is None else frame
 
     def __len__(self) -> int:
         return len(self.frame)
@@ -141,7 +134,7 @@ class PerformanceMonitor:
         hour_range: tuple[int, int] | None = None,
         machine_ids: set[int] | None = None,
     ) -> "PerformanceMonitor":
-        """Return a new monitor restricted to matching records.
+        """Return a new monitor restricted to matching rows.
 
         ``hour_range`` is half-open ``[start, end)``. All criteria AND
         together into one boolean mask over the frame (row order preserved).
@@ -200,20 +193,11 @@ class PerformanceMonitor:
     # Metric extraction
     # ------------------------------------------------------------------
     def metric(self, name: str, registry: MetricRegistry = DEFAULT_REGISTRY) -> np.ndarray:
-        """One metric across all records, as a float array.
-
-        Metrics with a vectorized ``extract_columns`` read straight off the
-        frame; others fall back to the per-record lambda. Both paths produce
-        bit-identical values (enforced by the registry cross-check test).
-        """
-        metric = registry.get(name)
-        if metric.extract_columns is not None:
-            return metric.extract_columns(self.frame).astype(float)
-        extract = metric.extract
-        return np.array([extract(r) for r in self.frame.to_records()], dtype=float)
+        """One metric across all rows, as a float array."""
+        return registry.get(name).extract(self.frame).astype(float)
 
     def hours(self) -> np.ndarray:
-        """The ``hour`` field across all records."""
+        """The ``hour`` column across all rows."""
         return self.frame.column("hour").astype(int)
 
     # ------------------------------------------------------------------
@@ -288,7 +272,7 @@ class PerformanceMonitor:
         return total_seconds / total_tasks
 
     def total_data_read_bytes(self) -> float:
-        """Cluster-wide Total Data Read over all records."""
+        """Cluster-wide Total Data Read over all rows."""
         return float(sum(self.frame.column("total_data_read_bytes").tolist()))
 
     def snapshot(self) -> MonitorSnapshot:

@@ -1,11 +1,12 @@
-"""Telemetry record types emitted by the cluster simulator.
+"""Non-machine-hour telemetry types emitted by the cluster simulator.
 
 The Performance Monitor (Section 4.1 of the paper) joins data from various
 Cosmos sources into *machine-hour* observations; those observations are the
-only thing KEA's models ever see. We mirror that contract:
+only thing KEA's models ever see, and they live in one columnar
+:class:`~repro.telemetry.frame.MachineHourFrame` (the unit of the scatter
+view in Figure 8 and, after daily aggregation, of Figure 9). This module holds
+the other telemetry the simulator produces:
 
-* :class:`MachineHourRecord` — one row per machine per hour (the unit of the
-  scatter view in Figure 8 and, after daily aggregation, of Figure 9).
 * :class:`JobRecord` — one row per completed job (implicit SLOs, Figure 11).
 * :class:`TaskLog` — a columnar, optionally sampled log of individual tasks
   (task-time ECDFs and critical-path shares of Figure 5, the task-type
@@ -16,108 +17,11 @@ only thing KEA's models ever see. We mirror that contract:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "MachineHourRecord",
-    "JobRecord",
-    "TaskLog",
-    "ResourceSample",
-    "QueueStats",
-]
-
-
-@dataclass(slots=True)
-class QueueStats:
-    """Per machine-hour summary of the on-machine container queue."""
-
-    avg_length: float = 0.0
-    enqueued: int = 0
-    dequeued: int = 0
-    waits: list[float] = field(default_factory=list)
-
-    def p99_wait(self) -> float:
-        """99th percentile of observed queue waits this hour (0 if none)."""
-        if not self.waits:
-            return 0.0
-        return float(np.percentile(self.waits, 99))
-
-    def mean_wait(self) -> float:
-        """Mean observed queue wait this hour (0 if none)."""
-        if not self.waits:
-            return 0.0
-        return float(np.mean(self.waits))
-
-
-@dataclass(slots=True)
-class MachineHourRecord:
-    """One machine-hour observation, the atom of all KEA modeling.
-
-    Field names follow Table 2 of the paper where a metric exists there;
-    derived Table 2 metrics (Bytes per Second, Bytes per CPU Time) are exposed
-    as properties so they are always consistent with the raw sums.
-    """
-
-    machine_id: int
-    machine_name: str
-    sku: str
-    software: str
-    rack: int
-    row: int
-    subcluster: int
-    hour: int
-    # Utilization level metrics.
-    cpu_utilization: float
-    avg_running_containers: float
-    # Throughput metrics (raw sums over the hour).
-    total_data_read_bytes: float
-    tasks_finished: int
-    total_cpu_seconds: float
-    total_task_seconds: float
-    # Resource usage (hour averages).
-    avg_cores_in_use: float
-    avg_ram_gb_in_use: float
-    avg_ssd_gb_in_use: float
-    # Power.
-    avg_power_watts: float
-    power_cap_watts: float | None
-    feature_enabled: bool
-    # Config in force during the hour.
-    max_running_containers: int
-    # Availability (fault plane): fraction of the hour the machine was up,
-    # and whether any fault overlapped the hour at all.
-    available_fraction: float = 1.0
-    faulted: bool = False
-    # Queueing.
-    queue: QueueStats = field(default_factory=QueueStats)
-
-    @property
-    def group(self) -> str:
-        """Machine-group label, e.g. ``'SC2_Gen 4.1'`` (SC–SKU combination)."""
-        return f"{self.software}_{self.sku}"
-
-    @property
-    def bytes_per_second(self) -> float:
-        """Table 2 'Bytes per Second': data read over total task execution time."""
-        if self.total_task_seconds <= 0:
-            return 0.0
-        return self.total_data_read_bytes / self.total_task_seconds
-
-    @property
-    def bytes_per_cpu_time(self) -> float:
-        """Table 2 'Bytes per CPU Time': data read over total CPU time."""
-        if self.total_cpu_seconds <= 0:
-            return 0.0
-        return self.total_data_read_bytes / self.total_cpu_seconds
-
-    @property
-    def avg_task_seconds(self) -> float:
-        """Average execution time of tasks finished this hour (0 if none)."""
-        if self.tasks_finished <= 0:
-            return 0.0
-        return self.total_task_seconds / self.tasks_finished
+__all__ = ["JobRecord", "TaskLog", "ResourceSample"]
 
 
 @dataclass(slots=True)

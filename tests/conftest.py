@@ -1,11 +1,15 @@
 """Shared fixtures.
 
-Most tests build telemetry records synthetically (fast, precise control).
+Most tests build machine-hour frames synthetically (fast, precise control).
 A handful of integration tests need real simulation output; those share one
 session-scoped small-fleet run so the suite stays quick.
 """
 
 from __future__ import annotations
+
+import inspect
+from collections import namedtuple
+from collections.abc import Iterable
 
 import numpy as np
 import pytest
@@ -16,12 +20,32 @@ from repro.cluster import (
     build_cluster,
     small_fleet_spec,
 )
-from repro.telemetry.records import MachineHourRecord, QueueStats
+from repro.telemetry.frame import CATEGORICAL_COLUMNS, MachineHourFrame
 from repro.utils.rng import RngStreams
 from repro.workload import WorkloadGenerator, default_templates, estimate_jobs_per_hour
 
 
-def make_record(
+#: Field order of :meth:`MachineHourFrame.append_hour` (one machine-hour row).
+ROW_FIELDS = tuple(inspect.signature(MachineHourFrame.append_hour).parameters)[1:]
+
+
+class HourRow(namedtuple("HourRow", ROW_FIELDS)):
+    """One machine-hour row as plain Python values, for per-row references.
+
+    Fields follow ``append_hour``'s order, so ``frame.append_hour(*row)``
+    appends it; ``power_cap_watts`` is None when uncapped and ``queue_waits``
+    is a tuple, so rows compare exactly with ``==``.
+    """
+
+    __slots__ = ()
+
+    @property
+    def group(self) -> str:
+        """Machine-group label, e.g. ``'SC2_Gen 4.1'``."""
+        return f"{self.software}_{self.sku}"
+
+
+def make_row(
     machine_id: int = 0,
     sku: str = "Gen 4.1",
     software: str = "SC2",
@@ -42,10 +66,15 @@ def make_record(
     power_cap_watts: float | None = None,
     feature_enabled: bool = False,
     max_running_containers: int = 35,
-    queue: QueueStats | None = None,
-) -> MachineHourRecord:
-    """A fully populated machine-hour record with sensible defaults."""
-    return MachineHourRecord(
+    queue_avg_length: float = 0.0,
+    queue_enqueued: int = 0,
+    queue_dequeued: int = 0,
+    queue_waits: tuple[float, ...] = (),
+    available_fraction: float = 1.0,
+    faulted: bool = False,
+) -> HourRow:
+    """A fully populated machine-hour row with sensible defaults."""
+    return HourRow(
         machine_id=machine_id,
         machine_name=f"m{machine_id:06d}",
         sku=sku,
@@ -67,11 +96,45 @@ def make_record(
         power_cap_watts=power_cap_watts,
         feature_enabled=feature_enabled,
         max_running_containers=max_running_containers,
-        queue=queue if queue is not None else QueueStats(),
+        queue_avg_length=queue_avg_length,
+        queue_enqueued=queue_enqueued,
+        queue_dequeued=queue_dequeued,
+        queue_waits=tuple(queue_waits),
+        available_fraction=available_fraction,
+        faulted=faulted,
     )
 
 
-def synthetic_group_records(
+def frame_of(rows: Iterable[HourRow]) -> MachineHourFrame:
+    """A frame holding ``rows`` in order."""
+    frame = MachineHourFrame()
+    for row in rows:
+        frame.append_hour(*row)
+    return frame
+
+
+def rows_of(frame: MachineHourFrame) -> list[HourRow]:
+    """The frame's rows as :class:`HourRow` values (the per-row view)."""
+    offsets = frame.wait_offsets().tolist()
+    waits = frame.waits_flat().tolist()
+    columns = []
+    for name in ROW_FIELDS:
+        if name in CATEGORICAL_COLUMNS:
+            columns.append(frame.labels(name).tolist())
+        elif name == "queue_waits":
+            columns.append(
+                [tuple(waits[lo:hi]) for lo, hi in zip(offsets, offsets[1:])]
+            )
+        elif name == "power_cap_watts":
+            columns.append(
+                [None if cap != cap else cap for cap in frame.column(name).tolist()]
+            )
+        else:
+            columns.append(frame.column(name).tolist())
+    return [HourRow(*values) for values in zip(*columns, strict=True)]
+
+
+def synthetic_group_rows(
     group_sku: str,
     group_sc: str,
     n_machines: int = 12,
@@ -84,8 +147,8 @@ def synthetic_group_records(
     noise: float = 0.01,
     seed: int = 0,
     id_offset: int | None = None,
-) -> list[MachineHourRecord]:
-    """Records following exact affine g/f relations plus small noise.
+) -> list[HourRow]:
+    """Rows following exact affine g/f relations plus small noise.
 
     Lets model-layer tests verify calibration recovers known parameters.
     Machine ids are offset per (sku, sc) by default so distinct synthetic
@@ -97,7 +160,7 @@ def synthetic_group_records(
         import zlib
 
         id_offset = (zlib.crc32(f"{group_sku}|{group_sc}".encode()) % 997) * 1000
-    records = []
+    rows = []
     for machine in range(n_machines):
         for hour in range(n_days * 24):
             containers = containers_center + rng.normal(0, 3.0)
@@ -106,8 +169,8 @@ def synthetic_group_records(
             util = float(np.clip(util, 0.01, 0.99))
             latency = f_intercept + f_slope * util + rng.normal(0, noise * 100)
             tasks = max(1, int(60 * util + rng.normal(0, 2)))
-            records.append(
-                make_record(
+            rows.append(
+                make_row(
                     machine_id=machine + id_offset,
                     sku=group_sku,
                     software=group_sc,
@@ -120,7 +183,12 @@ def synthetic_group_records(
                     total_data_read_bytes=util * 4e11,
                 )
             )
-    return records
+    return rows
+
+
+def synthetic_group_records(group_sku: str, group_sc: str, **kwargs) -> MachineHourFrame:
+    """:func:`synthetic_group_rows` of one group, as a frame."""
+    return frame_of(synthetic_group_rows(group_sku, group_sc, **kwargs))
 
 
 @pytest.fixture(scope="session")

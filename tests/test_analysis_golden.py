@@ -1,4 +1,4 @@
-"""Golden digests and per-record references for the columnar analysis plane.
+"""Golden digests and per-row references for the columnar analysis plane.
 
 The perf benchmark's frames hold no queue waits and only full 24-hour
 machine-days, so its digests cannot vouch for the waits path, partial days
@@ -13,8 +13,8 @@ or a machine that changes group mid-window. This module runs four of
 * :meth:`QueueTuner.measure`;
 * the :meth:`WhatIfEngine.calibrate` coefficients and operating points.
 
-It also keeps the historical per-record loops for ``daily_aggregates`` and
-``QueueTuner.measure`` as references, and asserts the column code equals
+It also keeps the historical per-row loops for ``daily_aggregates`` and
+``QueueTuner.measure`` as references (over :func:`tests.conftest.rows_of`), and asserts the column code equals
 them exactly, on those scenarios and on randomized frames whose buckets are
 ragged and wider than 8 rows (the scenarios' buckets within one run all have
 the same size or fewer than 8 rows). A deliberate behaviour change re-baselines the file, from the
@@ -39,9 +39,9 @@ from hypothesis import strategies as st
 from repro.core.applications.queue_tuning import QueueGroupStats, QueueTuner
 from repro.core.whatif import WhatIfEngine
 from repro.ml import huber
-from repro.telemetry.frame import MachineHourFrame
 from repro.telemetry.monitor import MachineDayRecord, PerformanceMonitor
-from tests.test_frame import random_records
+from tests.conftest import frame_of, rows_of
+from tests.test_frame import random_rows
 from tests.test_golden import _feed, run_scenario
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "analysis.json"
@@ -61,14 +61,14 @@ QUEUE_FIELDS = (
 
 
 # ----------------------------------------------------------------------
-# Per-record references (the loops the column code replaced)
+# Per-row references (the loops the column code replaced)
 # ----------------------------------------------------------------------
 def reference_daily_aggregates(frame, min_hours: int = 1) -> list[MachineDayRecord]:
-    """Bucket records by (machine, group, day) and reduce each bucket."""
+    """Bucket rows by (machine, group, day) and reduce each bucket."""
     buckets: dict[tuple[int, str, int], list] = {}
-    for record in frame.to_records():
-        key = (record.machine_id, record.group, record.hour // 24)
-        buckets.setdefault(key, []).append(record)
+    for row in rows_of(frame):
+        key = (row.machine_id, row.group, row.hour // 24)
+        buckets.setdefault(key, []).append(row)
     aggregates = []
     for (machine_id, _group, day), rows in sorted(buckets.items()):
         if len(rows) < min_hours:
@@ -96,18 +96,18 @@ def reference_daily_aggregates(frame, min_hours: int = 1) -> list[MachineDayReco
 
 
 def reference_queue_measure(frame) -> list[QueueGroupStats]:
-    """Per-group queue stats from one record list per group."""
-    records = frame.to_records()
+    """Per-group queue stats from one row list per group."""
+    all_rows = rows_of(frame)
     stats = []
-    for group in sorted({r.group for r in records}):
-        rows = [r for r in records if r.group == group]
+    for group in sorted({r.group for r in all_rows}):
+        rows = [r for r in all_rows if r.group == group]
         waits: list[float] = []
-        for record in rows:
-            waits.extend(record.queue.waits)
+        for row in rows:
+            waits.extend(row.queue_waits)
         stats.append(
             QueueGroupStats(
                 group=group,
-                avg_queue_length=float(np.mean([r.queue.avg_length for r in rows])),
+                avg_queue_length=float(np.mean([r.queue_avg_length for r in rows])),
                 p99_wait_seconds=float(np.percentile(waits, 99)) if waits else 0.0,
                 mean_wait_seconds=float(np.mean(waits)) if waits else 0.0,
                 dequeue_rate_per_hour=float(np.mean([r.tasks_finished for r in rows])),
@@ -211,7 +211,7 @@ def test_ragged_random_buckets_equal_per_record_reference(seed):
     # Buckets of 1 to ~15 rows, out of hour order, with groups interleaved:
     # widths above 8 reach numpy's unrolled pairwise kernel, where reducing
     # a zero-padded row would re-associate the sum.
-    frame = MachineHourFrame.from_records(random_records(n=3000, seed=seed))
+    frame = frame_of(random_rows(n=3000, seed=seed))
     monitor = PerformanceMonitor(frame)
     for min_hours in (1, 5, 9):
         columnar = monitor.daily_aggregates(min_hours=min_hours)

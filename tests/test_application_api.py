@@ -3,8 +3,7 @@
 Covers the registry (all five Table 3 applications registered, decorator
 semantics, error paths), the lifecycle round-trip ``parameter_space →
 propose → evaluate`` for every registered application on one small fleet,
-the facade entry points (``Kea.tune`` / ``Kea.run_application``) with the
-backwards-compatible ``tune_yarn_config`` deprecation shim, and
+the facade entry points (``Kea.tune`` / ``Kea.run_application``), and
 application-agnostic campaigns (queue tuning deploys end to end,
 bit-identically between serial and pooled execution; advisory applications
 converge with their recommendation recorded).
@@ -259,18 +258,6 @@ class TestKeaFacadeEntryPoints:
         assert proposal.is_advisory
         with pytest.raises(ApplicationError):
             kea.application(app, group_size=2)
-
-    def test_tune_yarn_config_shim_warns_and_matches(self, kea, observation, engine):
-        with pytest.warns(DeprecationWarning, match="yarn-config"):
-            legacy = kea.tune_yarn_config(observation, engine)
-        assert isinstance(legacy, YarnTuningResult)
-        fresh = kea.tune(
-            "yarn-config", observation=observation, engine=engine
-        ).details
-        # Same observation + engine → bit-identical optimizer output.
-        assert legacy.config_deltas == fresh.config_deltas
-        assert legacy.optimal_containers == fresh.optimal_containers
-        assert legacy.proposed_config == fresh.proposed_config
 
 
 # ----------------------------------------------------------------------

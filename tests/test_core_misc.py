@@ -15,9 +15,9 @@ from repro.core.conceptualization import (
 from repro.core.applications.queue_tuning import QueueTuner
 from repro.core.methodology import KeaProject, Phase, ProjectCharter
 from repro.telemetry.monitor import PerformanceMonitor
-from repro.telemetry.records import JobRecord, QueueStats, TaskLog
+from repro.telemetry.records import JobRecord, TaskLog
 from repro.utils.errors import ConfigurationError
-from tests.conftest import make_record
+from tests.conftest import frame_of, make_row
 
 
 class TestCapacity:
@@ -168,25 +168,23 @@ class TestMethodology:
 
 class TestQueueTuner:
     def _monitor(self):
-        records = []
+        rows = []
         for sku, sc, drain, wait in [
             ("Gen 1.1", "SC1", 40, 900.0),
             ("Gen 4.1", "SC2", 160, 200.0),
         ]:
             for machine in range(4):
                 for hour in range(6):
-                    records.append(
-                        make_record(
+                    rows.append(
+                        make_row(
                             machine_id=machine + (100 if sku == "Gen 4.1" else 0),
                             sku=sku, software=sc, hour=hour,
                             tasks_finished=drain,
-                            queue=QueueStats(
-                                avg_length=2.0, enqueued=10, dequeued=10,
-                                waits=[wait] * 10,
-                            ),
+                            queue_avg_length=2.0, queue_enqueued=10,
+                            queue_dequeued=10, queue_waits=[wait] * 10,
                         )
                     )
-        return PerformanceMonitor(records)
+        return PerformanceMonitor(frame_of(rows))
 
     def test_faster_groups_get_longer_queues(self):
         result = QueueTuner(target_wait_seconds=300.0).tune(self._monitor())

@@ -10,7 +10,6 @@ outcome carries a :class:`CostReport`, the ledger accrues real dollars,
 """
 
 import pickle
-from dataclasses import replace
 
 import pytest
 
@@ -42,7 +41,7 @@ from repro.stats.treatment import TreatmentEffect
 from repro.stats.ttest import TTestResult
 from repro.telemetry.frame import MachineHourFrame
 
-from tests.conftest import make_record
+from tests.conftest import frame_of, make_row
 
 
 def effect(relative: float, p: float = 0.5) -> TreatmentEffect:
@@ -109,15 +108,11 @@ class TestPriceBook:
 # ----------------------------------------------------------------------
 class TestFrameCost:
     def _frame(self) -> MachineHourFrame:
-        records = [
-            make_record(machine_id=0, sku="Gen 1.1", hour=0,
-                        avg_power_watts=200.0),
-            make_record(machine_id=0, sku="Gen 1.1", hour=1,
-                        avg_power_watts=200.0),
-            make_record(machine_id=1, sku="Gen 4.1", hour=0,
-                        avg_power_watts=400.0),
-        ]
-        return MachineHourFrame.from_records(records)
+        return frame_of([
+            make_row(machine_id=0, sku="Gen 1.1", hour=0, avg_power_watts=200.0),
+            make_row(machine_id=0, sku="Gen 1.1", hour=1, avg_power_watts=200.0),
+            make_row(machine_id=1, sku="Gen 4.1", hour=0, avg_power_watts=400.0),
+        ])
 
     def test_exact_dollar_math(self):
         book = PriceBook(
@@ -140,16 +135,13 @@ class TestFrameCost:
         assert not report.estimated
 
     def test_faulted_hours_are_billed_fractionally(self):
-        records = [
-            make_record(machine_id=0, sku="Gen 1.1", hour=0),
-            replace(
-                make_record(machine_id=1, sku="Gen 1.1", hour=0),
-                available_fraction=0.25,
-                faulted=True,
-            ),
+        rows = [
+            make_row(machine_id=0, sku="Gen 1.1", hour=0),
+            make_row(machine_id=1, sku="Gen 1.1", hour=0,
+                     available_fraction=0.25, faulted=True),
         ]
         book = PriceBook(rates=(("Gen 1.1", 1.0),), power_dollars_per_kwh=0.0)
-        report = frame_cost(MachineHourFrame.from_records(records), book)
+        report = frame_cost(frame_of(rows), book)
         assert report.machine_hours == pytest.approx(1.25)
         assert report.faulted_machine_hours == pytest.approx(0.75)
         assert report.machine_dollars == pytest.approx(1.25)

@@ -1,8 +1,8 @@
 """Tests for the build-native staged deployment module.
 
 Covers the wave-based rollout API — :class:`RolloutPolicy` schedules,
-fractional-wave validation (incl. the overlapping-selector error), clamping,
-the legacy ``YarnConfig``-target shim — and execution on the simulator:
+fractional-wave validation (incl. the overlapping-selector error), clamping —
+and execution on the simulator:
 progressive coverage, between-wave gates, and mid-rollout rollback restoring
 the fleet bit-identically across multiple build types.
 """
@@ -328,36 +328,6 @@ class TestRolloutPlanValidation:
         )
         with pytest.raises(ConfigurationError, match="overlapping selectors"):
             plan.validate(cluster)
-
-
-class TestLegacyShim:
-    def test_yarn_target_stages_per_group_builds(self, cluster):
-        module = DeploymentModule(cluster, max_step=1)
-        target = bump_all(cluster.yarn_config, +5)
-        plan = module.staged_plan(target)
-        groups = sorted(cluster.machines_by_group())
-        assert len(plan.waves) == len(DEFAULT_WAVE_FRACTIONS)
-        for wave in plan:
-            assert len(wave.entries) == len(groups)
-            assert all(isinstance(e.build, YarnLimitsBuild) for e in wave.entries)
-        # The ±max_step rule still applies: the staged limits are current+1.
-        by_group = {e.group: e.build for e in plan.waves[0].entries}
-        for key in groups:
-            current = cluster.yarn_config.for_group(key).max_running_containers
-            assert by_group[key].max_running_containers == current + 1
-
-    def test_yarn_target_rollout_reaches_the_target(self, cluster):
-        module = DeploymentModule(cluster, max_step=1)
-        target = bump_all(cluster.yarn_config, +1)
-        plan = module.staged_plan(target)
-        simulator = make_simulator(cluster)
-        execution = module.execute(
-            simulator, plan, 10.0, gate=FailBeforeWave(fail_on_evaluation=99)
-        )
-        assert execution.completed and not execution.reverted
-        for machine in cluster.machines:
-            expected = target.for_group(machine.group_key).max_running_containers
-            assert machine.max_running_containers == expected
 
 
 class TestRolloutExecution:

@@ -14,7 +14,7 @@ from repro.experiment import (
 from repro.experiment.design import GroupAssignment
 from repro.telemetry.monitor import PerformanceMonitor
 from repro.utils.errors import ExperimentError
-from tests.conftest import make_record
+from tests.conftest import frame_of, make_row
 
 
 class TestIdealSetting:
@@ -91,21 +91,21 @@ class TestHybridSetting:
 
 class TestCompareGroups:
     def _monitor_with_effect(self, lift=1.2):
-        records = []
+        rows = []
         rng = np.random.default_rng(0)
         for machine_id in range(20):
             experiment = machine_id >= 10
             for hour in range(48):
                 base = 1e9 * (lift if experiment else 1.0)
-                records.append(
-                    make_record(
+                rows.append(
+                    make_row(
                         machine_id=machine_id, hour=hour,
                         total_data_read_bytes=float(base * rng.normal(1, 0.05)),
                         tasks_finished=100,
                         total_task_seconds=10000.0,
                     )
                 )
-        return PerformanceMonitor(records)
+        return PerformanceMonitor(frame_of(rows))
 
     def _assignment(self, cluster=None):
         class FakeMachine:
@@ -152,7 +152,7 @@ class TestCompareGroups:
 
 class TestCompareTimeSlices:
     def test_detects_difference_between_windows(self):
-        records = []
+        rows = []
         rng = np.random.default_rng(1)
         schedule = time_slicing_schedule(20.0, interval_hours=5.0)
         experiment_hours = {
@@ -162,13 +162,13 @@ class TestCompareTimeSlices:
         for machine_id in range(8):
             for hour in range(20):
                 boost = 1.3 if hour in experiment_hours else 1.0
-                records.append(
-                    make_record(machine_id=machine_id, hour=hour,
-                                cpu_utilization=float(np.clip(
-                                    0.5 * boost + rng.normal(0, 0.02), 0, 1)))
+                rows.append(
+                    make_row(machine_id=machine_id, hour=hour,
+                             cpu_utilization=float(np.clip(
+                                 0.5 * boost + rng.normal(0, 0.02), 0, 1)))
                 )
         report = compare_time_slices(
-            "slices", PerformanceMonitor(records), schedule,
+            "slices", PerformanceMonitor(frame_of(rows)), schedule,
             metrics=("CpuUtilization",),
         )
         assert report.comparison("CpuUtilization").pct_change == pytest.approx(

@@ -48,10 +48,11 @@ from repro.service import (
     TenantSpec,
     default_catalog,
 )
+from repro.telemetry.frame import MachineHourFrame
 from repro.utils.rng import RngStreams
 from repro.workload import WorkloadGenerator, default_templates
 
-from tests.conftest import make_record
+from tests.conftest import frame_of, make_row
 
 HOUR = 3600.0
 
@@ -295,8 +296,9 @@ class TestCrashRecover:
         cluster = build_cluster(small_fleet_spec())
         machine = cluster.machines[0]
         machine.note_carried_wait(42.0)
-        record = machine.flush_hour(HOUR, hour=0)
-        assert record.queue.mean_wait() == pytest.approx(42.0)
+        frame = MachineHourFrame()
+        machine.flush_hour_into(HOUR, 0, frame)
+        assert frame.queue_mean_wait()[0] == pytest.approx(42.0)
 
 
 # ----------------------------------------------------------------------
@@ -491,32 +493,27 @@ class TestWaveImpactFaultExclusion:
         ]
         return execution
 
-    def _records(self, crashed_value: float):
-        from dataclasses import replace
-
-        records = []
+    def _rows(self, crashed_value: float):
+        rows = []
         for hour in range(4):
-            records.append(
-                make_record(
-                    machine_id=0, hour=hour, total_data_read_bytes=100.0
-                )
+            rows.append(
+                make_row(machine_id=0, hour=hour, total_data_read_bytes=100.0)
             )
-            control = make_record(
+            control = make_row(
                 machine_id=1, hour=hour, total_data_read_bytes=100.0
             )
             if hour == 1:
-                control = replace(
-                    control,
+                control = control._replace(
                     total_data_read_bytes=crashed_value,
                     available_fraction=0.2,
                     faulted=True,
                 )
-            records.append(control)
-        return records
+            rows.append(control)
+        return rows
 
     def test_crashed_control_hours_are_excluded(self):
         execution = self._execution()
-        DeploymentModule.attach_wave_impacts(self._records(0.0), execution)
+        DeploymentModule.attach_wave_impacts(frame_of(self._rows(0.0)), execution)
         effect = execution.records[0].impact
         assert effect is not None
         # The dark hour (value 0) is dropped: both arms read a flat 100.
@@ -526,13 +523,11 @@ class TestWaveImpactFaultExclusion:
 
     def test_without_faults_all_rows_count(self):
         execution = self._execution()
-        records = self._records(0.0)
-        from dataclasses import replace
-
-        records = [
-            replace(r, faulted=False, available_fraction=1.0) for r in records
+        rows = [
+            r._replace(faulted=False, available_fraction=1.0)
+            for r in self._rows(0.0)
         ]
-        DeploymentModule.attach_wave_impacts(records, execution)
+        DeploymentModule.attach_wave_impacts(frame_of(rows), execution)
         effect = execution.records[0].impact
         assert effect.test.mean_a == pytest.approx(75.0)  # dark hour included
 

@@ -1,8 +1,9 @@
 """Columnar telemetry frame: exact round-trips and vectorized consumers.
 
 The frame's whole contract is *bit-identity*: every value it stores, derives,
-or hands to a vectorized consumer must equal the historical per-record path
-exactly — no tolerance comparisons anywhere in this file.
+or hands to a vectorized consumer must equal a per-row reference computed in
+plain Python over :func:`tests.conftest.rows_of` — no tolerance comparisons
+anywhere in this file.
 """
 
 from __future__ import annotations
@@ -13,22 +14,21 @@ import random
 import numpy as np
 import pytest
 
-from tests.conftest import make_record
-from repro.telemetry import DEFAULT_REGISTRY, MachineHourFrame, PerformanceMonitor
-from repro.telemetry.records import QueueStats
+from tests.conftest import frame_of, make_row, rows_of
+from repro.telemetry import DEFAULT_REGISTRY, PerformanceMonitor
 from repro.telemetry.views import utilization_bands
 
 
-def random_records(n: int = 200, seed: int = 7):
-    """Randomized records spanning categoricals, caps, flags, and waits."""
+def random_rows(n: int = 200, seed: int = 7):
+    """Randomized rows spanning categoricals, caps, flags, and waits."""
     rng = random.Random(seed)
     skus = ["Gen 1.1", "Gen 2.2", "Gen 4.1"]
     softwares = ["SC1", "SC2"]
-    records = []
+    rows = []
     for _i in range(n):
         waits = [rng.expovariate(0.01) for _ in range(rng.randrange(0, 5))]
-        records.append(
-            make_record(
+        rows.append(
+            make_row(
                 machine_id=rng.randrange(0, 40),
                 sku=rng.choice(skus),
                 software=rng.choice(softwares),
@@ -45,166 +45,188 @@ def random_records(n: int = 200, seed: int = 7):
                 avg_power_watts=rng.uniform(100, 500),
                 power_cap_watts=rng.choice([None, rng.uniform(200, 400)]),
                 feature_enabled=rng.random() < 0.5,
-                queue=QueueStats(
-                    avg_length=rng.uniform(0, 3),
-                    enqueued=rng.randrange(0, 10),
-                    dequeued=rng.randrange(0, 10),
-                    waits=waits,
-                ),
+                queue_avg_length=rng.uniform(0, 3),
+                queue_enqueued=rng.randrange(0, 10),
+                queue_dequeued=rng.randrange(0, 10),
+                queue_waits=waits,
             )
         )
-    return records
+    return rows
+
+
+# ----------------------------------------------------------------------
+# Per-row reference formulas (one per registry metric)
+# ----------------------------------------------------------------------
+def _ratio(num: float, den: float) -> float:
+    return num / den if den > 0 else 0.0
+
+
+def _p99(waits) -> float:
+    return float(np.percentile(waits, 99)) if waits else 0.0
+
+
+def _mean(waits) -> float:
+    return float(np.mean(waits)) if waits else 0.0
+
+
+REFERENCE_METRICS = {
+    "TotalDataRead": lambda r: r.total_data_read_bytes,
+    "NumberOfTasks": lambda r: float(r.tasks_finished),
+    "BytesPerSecond": lambda r: _ratio(r.total_data_read_bytes, r.total_task_seconds),
+    "BytesPerCpuTime": lambda r: _ratio(r.total_data_read_bytes, r.total_cpu_seconds),
+    "CpuUtilization": lambda r: r.cpu_utilization,
+    "AverageRunningContainers": lambda r: r.avg_running_containers,
+    "AverageTaskSeconds": lambda r: _ratio(r.total_task_seconds, r.tasks_finished),
+    "QueueLength": lambda r: r.queue_avg_length,
+    "QueueWaitP99": lambda r: _p99(r.queue_waits),
+    "PowerWatts": lambda r: r.avg_power_watts,
+    "RamInUse": lambda r: r.avg_ram_gb_in_use,
+    "SsdInUse": lambda r: r.avg_ssd_gb_in_use,
+    "CoresInUse": lambda r: r.avg_cores_in_use,
+}
 
 
 class TestFrameRoundTrip:
     def test_records_round_trip_exactly(self):
-        records = random_records()
-        frame = MachineHourFrame.from_records(records)
-        assert len(frame) == len(records)
-        back = frame.to_records()
-        # Dataclass equality is field-wise and exact: floats, categorical
-        # strings, bools, None-caps, and QueueStats waits all bit-identical.
-        assert back == records
+        rows = random_rows()
+        frame = frame_of(rows)
+        assert len(frame) == len(rows)
+        # Row equality is field-wise and exact: floats, categorical strings,
+        # bools, None-caps, and queue waits all bit-identical.
+        assert rows_of(frame) == rows
 
     def test_round_trip_is_involutive(self):
-        records = random_records(seed=9)
-        frame = MachineHourFrame.from_records(records)
-        again = MachineHourFrame.from_records(frame.to_records())
+        rows = random_rows(seed=9)
+        frame = frame_of(rows)
+        again = frame_of(rows_of(frame))
         assert frame == again
-        assert again.to_records() == records
+        assert rows_of(again) == rows
 
-    def test_to_records_is_cached_until_append(self):
-        frame = MachineHourFrame.from_records(random_records(n=5))
-        first = frame.to_records()
-        assert frame.to_records() is first
-        frame.append_record(make_record(machine_id=99))
-        assert frame.to_records() is not first
-        assert len(frame.to_records()) == 6
+    def test_column_cache_is_invalidated_by_append(self):
+        frame = frame_of(random_rows(n=5))
+        first = frame.column("hour")
+        assert frame.column("hour") is first
+        frame.append_hour(*make_row(machine_id=99, hour=77))
+        assert frame.column("hour") is not first
+        assert len(frame.column("hour")) == 6
+        assert frame.column("hour")[-1] == 77
 
     def test_pickle_round_trip(self):
-        frame = MachineHourFrame.from_records(random_records(seed=3))
+        frame = frame_of(random_rows(seed=3))
         clone = pickle.loads(pickle.dumps(frame))
         assert clone == frame
-        assert clone.to_records() == frame.to_records()
+        assert rows_of(clone) == rows_of(frame)
 
     def test_power_cap_none_encoding(self):
-        records = [
-            make_record(machine_id=0, power_cap_watts=None),
-            make_record(machine_id=1, power_cap_watts=312.5),
-        ]
-        frame = MachineHourFrame.from_records(records)
+        frame = frame_of([
+            make_row(machine_id=0, power_cap_watts=None),
+            make_row(machine_id=1, power_cap_watts=312.5),
+        ])
         assert np.isnan(frame.column("power_cap_watts")[0])
-        back = frame.to_records()
+        back = rows_of(frame)
         assert back[0].power_cap_watts is None
         assert back[1].power_cap_watts == 312.5
 
     def test_take_matches_record_slicing(self):
-        records = random_records(seed=11)
-        frame = MachineHourFrame.from_records(records)
-        mask = frame.column("hour") < 10
-        taken = frame.take(mask)
-        expected = [r for r in records if r.hour < 10]
-        assert taken.to_records() == expected
+        rows = random_rows(seed=11)
+        frame = frame_of(rows)
+        taken = frame.take(frame.column("hour") < 10)
+        assert rows_of(taken) == [r for r in rows if r.hour < 10]
         indices = np.asarray([5, 3, 17])
-        assert frame.take(indices).to_records() == [records[i] for i in indices]
+        assert rows_of(frame.take(indices)) == [rows[i] for i in indices]
 
     def test_derived_columns_match_record_properties(self):
-        records = random_records(seed=13)
-        frame = MachineHourFrame.from_records(records)
+        rows = random_rows(seed=13)
+        frame = frame_of(rows)
         assert frame.bytes_per_second().tolist() == [
-            r.bytes_per_second for r in records
+            _ratio(r.total_data_read_bytes, r.total_task_seconds) for r in rows
         ]
         assert frame.bytes_per_cpu_time().tolist() == [
-            r.bytes_per_cpu_time for r in records
+            _ratio(r.total_data_read_bytes, r.total_cpu_seconds) for r in rows
         ]
         assert frame.avg_task_seconds().tolist() == [
-            r.avg_task_seconds for r in records
+            _ratio(r.total_task_seconds, r.tasks_finished) for r in rows
         ]
-        assert frame.queue_p99_wait().tolist() == [
-            r.queue.p99_wait() for r in records
-        ]
-        assert frame.queue_mean_wait().tolist() == [
-            r.queue.mean_wait() for r in records
-        ]
-        assert frame.group_labels().tolist() == [r.group for r in records]
+        assert frame.queue_p99_wait().tolist() == [_p99(r.queue_waits) for r in rows]
+        assert frame.queue_mean_wait().tolist() == [_mean(r.queue_waits) for r in rows]
+        assert frame.group_labels().tolist() == [r.group for r in rows]
 
     def test_nbytes_scales_with_rows(self):
-        small = MachineHourFrame.from_records(random_records(n=10))
-        large = MachineHourFrame.from_records(random_records(n=100))
+        small = frame_of(random_rows(n=10))
+        large = frame_of(random_rows(n=100))
         assert 0 < small.nbytes < large.nbytes
 
 
 class TestVectorizedConsumersOnLiveSimulation:
-    """Vectorized paths equal the per-record ones on real simulator output."""
+    """Vectorized paths equal the per-row references on real simulator output."""
 
     @pytest.fixture(scope="class")
     def live(self, small_sim_result):
         _cluster, result = small_sim_result
-        return result.frame, result.records
+        return result.frame, rows_of(result.frame)
 
     def test_every_registry_metric_matches_per_record_lambda(self, live):
-        frame, records = live
+        frame, rows = live
         monitor = PerformanceMonitor(frame)
-        for metric in DEFAULT_REGISTRY.all():
-            assert metric.extract_columns is not None, metric.name
-            vectorized = monitor.metric(metric.name)
-            reference = np.array([metric.extract(r) for r in records], dtype=float)
-            assert np.array_equal(vectorized, reference), metric.name
+        assert sorted(REFERENCE_METRICS) == DEFAULT_REGISTRY.names()
+        for name, formula in REFERENCE_METRICS.items():
+            reference = np.array([formula(r) for r in rows], dtype=float)
+            assert np.array_equal(monitor.metric(name), reference), name
 
     def test_filter_matches_record_comprehensions(self, live):
-        frame, records = live
+        frame, rows = live
         monitor = PerformanceMonitor(frame)
-        group = records[0].group
-        assert monitor.filter(group=group).frame.to_records() == [
-            r for r in records if r.group == group
+        group = rows[0].group
+        assert rows_of(monitor.filter(group=group).frame) == [
+            r for r in rows if r.group == group
         ]
-        sku = records[0].sku
-        assert monitor.filter(sku=sku).frame.to_records() == [
-            r for r in records if r.sku == sku
+        sku = rows[0].sku
+        assert rows_of(monitor.filter(sku=sku).frame) == [
+            r for r in rows if r.sku == sku
         ]
-        assert monitor.filter(hour_range=(1, 4)).frame.to_records() == [
-            r for r in records if 1 <= r.hour < 4
+        assert rows_of(monitor.filter(hour_range=(1, 4)).frame) == [
+            r for r in rows if 1 <= r.hour < 4
         ]
-        ids = {records[0].machine_id, records[-1].machine_id}
-        assert monitor.filter(machine_ids=ids).frame.to_records() == [
-            r for r in records if r.machine_id in ids
+        ids = {rows[0].machine_id, rows[-1].machine_id}
+        assert rows_of(monitor.filter(machine_ids=ids).frame) == [
+            r for r in rows if r.machine_id in ids
         ]
         sc1 = monitor.filter(software="SC1").frame
         busy = sc1.take(sc1.column("tasks_finished") > 10)
-        assert busy.to_records() == [
-            r for r in records if r.software == "SC1" and r.tasks_finished > 10
+        assert rows_of(busy) == [
+            r for r in rows if r.software == "SC1" and r.tasks_finished > 10
         ]
 
     def test_groups_skus_and_by_group_match(self, live):
-        frame, records = live
+        frame, rows = live
         monitor = PerformanceMonitor(frame)
-        assert monitor.groups() == sorted({r.group for r in records})
-        assert monitor.skus() == sorted({r.sku for r in records})
+        assert monitor.groups() == sorted({r.group for r in rows})
+        assert monitor.skus() == sorted({r.sku for r in rows})
         split = monitor.by_group()
         assert list(split) == monitor.groups()
         for label, sub in split.items():
-            assert sub.frame.to_records() == [r for r in records if r.group == label]
+            assert rows_of(sub.frame) == [r for r in rows if r.group == label]
 
     def test_snapshot_and_cluster_sums_match_reference(self, live):
-        frame, records = live
+        frame, rows = live
         monitor = PerformanceMonitor(frame)
         assert monitor.total_data_read_bytes() == float(
-            sum(r.total_data_read_bytes for r in records)
+            sum(r.total_data_read_bytes for r in rows)
         )
-        total_seconds = sum(r.total_task_seconds for r in records)
-        total_tasks = sum(r.tasks_finished for r in records)
+        total_seconds = sum(r.total_task_seconds for r in rows)
+        total_tasks = sum(r.tasks_finished for r in rows)
         assert monitor.cluster_average_task_latency() == total_seconds / total_tasks
         snapshot = monitor.snapshot()
-        assert snapshot.n_records == len(records)
-        assert snapshot.n_machines == len({r.machine_id for r in records})
-        assert snapshot.hours_observed == len({r.hour for r in records})
+        assert snapshot.n_records == len(rows)
+        assert snapshot.n_machines == len({r.machine_id for r in rows})
+        assert snapshot.hours_observed == len({r.hour for r in rows})
         assert snapshot.mean_cpu_utilization == float(
-            np.mean([r.cpu_utilization for r in records])
+            np.mean([r.cpu_utilization for r in rows])
         )
-        assert snapshot.tasks_finished == int(sum(r.tasks_finished for r in records))
+        assert snapshot.tasks_finished == int(sum(r.tasks_finished for r in rows))
 
     def test_utilization_bands_match_per_hour_loop(self, live):
-        frame, _records = live
+        frame, _rows = live
         monitor = PerformanceMonitor(frame)
         for metric in ("CpuUtilization", "TotalDataRead"):
             bands = utilization_bands(monitor, metric)
@@ -224,8 +246,8 @@ class TestVectorizedConsumersOnLiveSimulation:
 
     def test_ragged_hours_still_match_per_hour_loop(self):
         # Uneven machine counts per hour exercise the non-reshape path.
-        records = [r for r in random_records(seed=21) if not (r.hour % 7 == 0 and r.machine_id % 3 == 0)]
-        monitor = PerformanceMonitor(MachineHourFrame.from_records(records))
+        rows = [r for r in random_rows(seed=21) if not (r.hour % 7 == 0 and r.machine_id % 3 == 0)]
+        monitor = PerformanceMonitor(frame_of(rows))
         bands = utilization_bands(monitor, "CpuUtilization")
         hours = monitor.hours()
         values = monitor.metric("CpuUtilization")
@@ -235,9 +257,8 @@ class TestVectorizedConsumersOnLiveSimulation:
             assert bands.mean[i] == np.mean(hour_values)
 
     def test_monitor_frame_records_round_trip(self, live):
-        frame, records = live
+        frame, rows = live
         monitor = PerformanceMonitor(frame)
-        assert monitor.frame.to_records() == records
-        # Ingesting a record list produces an equal frame.
-        rebuilt = PerformanceMonitor(records)
-        assert rebuilt.frame == frame
+        assert rows_of(monitor.frame) == rows
+        # Re-appending the rows produces an equal frame.
+        assert PerformanceMonitor(frame_of(rows)).frame == frame

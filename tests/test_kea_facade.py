@@ -58,7 +58,7 @@ class TestObserve:
 class TestObservationalLoop:
     def test_tuning_proposes_slow_to_fast_shift(self, kea, observation):
         engine = kea.calibrate(observation.monitor)
-        tuning = kea.tune_yarn_config(observation, engine)
+        tuning = kea.tune("yarn-config", observation=observation, engine=engine).details
         assert tuning.suggested_shift["SC1_Gen 1.1"] < 0
         assert tuning.suggested_shift["SC2_Gen 4.1"] > 0
         assert tuning.capacity_gain > 0
@@ -67,7 +67,7 @@ class TestObservationalLoop:
         """The paper's pilot flights: the config change must move the
         directly impacted metric (running containers) on flighted machines."""
         engine = kea.calibrate(observation.monitor)
-        tuning = kea.tune_yarn_config(observation, engine)
+        tuning = kea.tune("yarn-config", observation=observation, engine=engine).details
         reports = kea.flight_validate(tuning, hours=8.0)
         assert reports
         directions = {}
@@ -85,8 +85,10 @@ class TestObservationalLoop:
     def test_deployment_impact_shape(self, kea, observation):
         """§5.2.2 shape: throughput up, latency not worse, capacity up."""
         engine = kea.calibrate(observation.monitor)
-        tuning = kea.tune_yarn_config(observation, engine, max_config_step=2,
-                                      delta_range=6.0)
+        tuning = kea.tune(
+            "yarn-config", observation=observation, engine=engine,
+            max_config_step=2, delta_range=6.0,
+        ).details
         impact = kea.deployment_impact(tuning.proposed_config, days=1.0)
         assert impact.capacity_gain > 0
         assert impact.throughput.relative_effect > 0
@@ -144,7 +146,7 @@ class TestExperimentalGate:
 class TestBenchmarkImpact:
     def test_benchmark_runtimes_before_after(self, kea, observation):
         engine = kea.calibrate(observation.monitor)
-        tuning = kea.tune_yarn_config(observation, engine)
+        tuning = kea.tune("yarn-config", observation=observation, engine=engine).details
         results = kea.benchmark_impact(tuning.proposed_config, days=0.5,
                                        benchmark_period_hours=3.0)
         assert results

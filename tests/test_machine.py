@@ -6,6 +6,7 @@ from repro.cluster.config import GroupLimits
 from repro.cluster.machine import RAM_BASE_GB, SSD_BASE_GB, Machine
 from repro.cluster.sku import sku_by_name
 from repro.cluster.software import SC1, SC2
+from repro.telemetry.frame import MachineHourFrame
 
 
 def make_machine(sku="Gen 4.1", software=SC2, max_containers=10):
@@ -19,6 +20,13 @@ def make_machine(sku="Gen 4.1", software=SC2, max_containers=10):
         subcluster=0,
         limits=GroupLimits(max_running_containers=max_containers),
     )
+
+
+def flush(machine, now, hour=0, frame=None):
+    """Flush the hour ending at ``now`` into ``frame`` (a new one by default)."""
+    frame = MachineHourFrame() if frame is None else frame
+    machine.flush_hour_into(now, hour, frame)
+    return frame
 
 
 class TestSlotAccounting:
@@ -92,32 +100,35 @@ class TestDurationModel:
 class TestTelemetryIntegrals:
     def test_idle_hour_reports_zero_utilization(self):
         machine = make_machine()
-        record = machine.flush_hour(3600.0, hour=0)
-        assert record.cpu_utilization == pytest.approx(0.0)
-        assert record.tasks_finished == 0
-        assert record.avg_power_watts == pytest.approx(machine.sku.power_idle_watts)
+        frame = flush(machine, 3600.0)
+        assert frame.column("cpu_utilization")[0] == pytest.approx(0.0)
+        assert frame.column("tasks_finished")[0] == 0
+        assert frame.column("avg_power_watts")[0] == pytest.approx(
+            machine.sku.power_idle_watts
+        )
 
     def test_half_hour_task_gives_half_container_average(self):
         machine = make_machine()
         machine.start_task(0.0, 1.0, 2.0, 10.0, 1e9, 1.0)
         # Manually finish at t=1800 regardless of computed duration.
         machine.finish_task(1800.0, 1.0, 2.0, 10.0, 1e9, 1800.0)
-        record = machine.flush_hour(3600.0, hour=0)
-        assert record.avg_running_containers == pytest.approx(0.5)
-        assert record.cpu_utilization == pytest.approx(
+        frame = flush(machine, 3600.0)
+        assert frame.column("avg_running_containers")[0] == pytest.approx(0.5)
+        assert frame.column("cpu_utilization")[0] == pytest.approx(
             0.5 / machine.sku.cores, rel=1e-6
         )
-        assert record.tasks_finished == 1
-        assert record.total_task_seconds == pytest.approx(1800.0)
+        assert frame.column("tasks_finished")[0] == 1
+        assert frame.column("total_task_seconds")[0] == pytest.approx(1800.0)
 
     def test_flush_resets_accumulators(self):
         machine = make_machine()
         machine.start_task(0.0, 1.0, 2.0, 10.0, 1e9, 1.0)
         machine.finish_task(1000.0, 1.0, 2.0, 10.0, 1e9, 1000.0)
-        machine.flush_hour(3600.0, hour=0)
-        second = machine.flush_hour(7200.0, hour=1)
-        assert second.tasks_finished == 0
-        assert second.avg_running_containers == pytest.approx(0.0)
+        frame = flush(machine, 3600.0, hour=0)
+        flush(machine, 7200.0, hour=1, frame=frame)
+        assert frame.column("hour").tolist() == [0, 1]
+        assert frame.column("tasks_finished")[1] == 0
+        assert frame.column("avg_running_containers")[1] == pytest.approx(0.0)
 
     def test_io_integral_equals_data_read(self):
         """A task reading D bytes contributes exactly D to the hour's total."""
@@ -125,15 +136,26 @@ class TestTelemetryIntegrals:
         data = 5e9
         duration = machine.start_task(0.0, 0.8, 2.0, 10.0, data, 10.0)
         machine.finish_task(duration, 0.8, 2.0, 10.0, data, duration)
-        record = machine.flush_hour(3600.0, hour=0)
-        assert record.total_data_read_bytes == pytest.approx(data, rel=1e-9)
+        frame = flush(machine, 3600.0)
+        assert frame.column("total_data_read_bytes")[0] == pytest.approx(data, rel=1e-9)
+
+    def test_saturated_hour_never_reads_above_its_container_count(self):
+        # Integrating at sevenths of the hour sums the 3·dt pieces to a few
+        # ulps over 3 × 3600; the reported average must still be exactly 3.
+        machine = make_machine(max_containers=3)
+        for _ in range(3):
+            machine.start_task(0.0, 0.5, 1.0, 1.0, 1e6, 100.0)
+        for k in range(1, 7):
+            machine.advance(k * 3600.0 / 7)
+        frame = flush(machine, 3600.0)
+        assert frame.column("avg_running_containers")[0] == 3.0
 
     def test_power_integral_mixes_capped_and_uncapped(self):
         machine = make_machine()
         machine.advance(1800.0)  # half hour uncapped at idle
         machine.cap_watts = machine.sku.power_idle_watts + 1.0
-        record = machine.flush_hour(3600.0, hour=0)
-        assert record.avg_power_watts == pytest.approx(
+        frame = flush(machine, 3600.0)
+        assert frame.column("avg_power_watts")[0] == pytest.approx(
             machine.sku.power_idle_watts, rel=1e-6
         )
 
@@ -155,11 +177,11 @@ class TestQueue:
         machine = make_machine()
         machine.enqueue(0.0, "t1")
         machine.dequeue(1800.0)
-        record = machine.flush_hour(3600.0, hour=0)
-        assert record.queue.enqueued == 1
-        assert record.queue.dequeued == 1
-        assert record.queue.avg_length == pytest.approx(0.5)
-        assert record.queue.waits == [1800.0]
+        frame = flush(machine, 3600.0)
+        assert frame.column("queue_enqueued")[0] == 1
+        assert frame.column("queue_dequeued")[0] == 1
+        assert frame.column("queue_avg_length")[0] == pytest.approx(0.5)
+        assert frame.waits_flat().tolist() == [1800.0]
 
     def test_queue_space_limit(self):
         machine = make_machine()

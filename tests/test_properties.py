@@ -26,6 +26,7 @@ from repro.faults import FaultInjector, FaultPlan, MachineSelector, OutageSpec, 
 from repro.ml import HuberRegressor, LinearRegression
 from repro.optim.simplex import simplex_solve
 from repro.stats.distributions import student_t_cdf
+from repro.telemetry.frame import MachineHourFrame
 from repro.telemetry.views import ecdf
 from repro.utils.rng import RngStreams
 from repro.workload import JobRuntime, WorkloadGenerator, default_templates
@@ -160,8 +161,9 @@ class TestMachineIntegralProperties:
             machine.finish_task(horizon, cpu_fraction, 1.0, 5.0, 1e8,
                                 horizon - start)
             expected_container_seconds += horizon - start
-        record = machine.flush_hour(horizon, hour=0)
-        assert record.avg_running_containers * 3600.0 == pytest.approx(
+        frame = MachineHourFrame()
+        machine.flush_hour_into(horizon, 0, frame)
+        assert frame.column("avg_running_containers")[0] * 3600.0 == pytest.approx(
             expected_container_seconds, rel=1e-9
         )
 
@@ -305,3 +307,19 @@ class TestSimulatorConservation:
                 assert job.remaining_in_stage == outstanding[job_id]
                 stage_size = job.n_tasks_total - finishes[job_id]
                 assert stage_size == job.remaining_in_stage
+
+        # The hourly telemetry obeys its own laws under the same fault plans:
+        # availability and utilization are fractions, the hourly container
+        # integral never exceeds capacity × 3600, and an hour short of full
+        # availability is always flagged as faulted.
+        frame = result.frame
+        available = frame.column("available_fraction")
+        utilization = frame.column("cpu_utilization")
+        assert len(frame) > 0
+        assert np.all((available >= 0.0) & (available <= 1.0))
+        assert np.all((utilization >= 0.0) & (utilization <= 1.0))
+        assert np.all(
+            frame.column("avg_running_containers")
+            <= frame.column("max_running_containers")
+        )
+        assert np.all(frame.column("faulted")[available < 1.0])

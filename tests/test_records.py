@@ -1,47 +1,58 @@
-"""Tests for telemetry record types: derived metrics, TaskLog groupings."""
+"""Tests for telemetry types: machine-hour derived values, TaskLog groupings."""
 
 import numpy as np
 import pytest
 
-from repro.telemetry.records import QueueStats, TaskLog
-from tests.conftest import make_record
+from repro.telemetry.records import TaskLog
+from tests.conftest import frame_of, make_row
 
 
 class TestMachineHourRecord:
+    """The machine-hour row's derived values, read off frame columns."""
+
     def test_group_label(self):
-        record = make_record(sku="Gen 2.2", software="SC1")
-        assert record.group == "SC1_Gen 2.2"
+        frame = frame_of([make_row(sku="Gen 2.2", software="SC1")])
+        assert frame.group_labels().tolist() == ["SC1_Gen 2.2"]
 
     def test_bytes_per_second(self):
-        record = make_record(total_data_read_bytes=8e9, total_task_seconds=4000.0)
-        assert record.bytes_per_second == pytest.approx(2e6)
+        frame = frame_of(
+            [make_row(total_data_read_bytes=8e9, total_task_seconds=4000.0)]
+        )
+        assert frame.bytes_per_second()[0] == pytest.approx(2e6)
 
     def test_bytes_per_cpu_time(self):
-        record = make_record(total_data_read_bytes=9e9, total_cpu_seconds=3000.0)
-        assert record.bytes_per_cpu_time == pytest.approx(3e6)
+        frame = frame_of(
+            [make_row(total_data_read_bytes=9e9, total_cpu_seconds=3000.0)]
+        )
+        assert frame.bytes_per_cpu_time()[0] == pytest.approx(3e6)
 
     def test_avg_task_seconds(self):
-        record = make_record(tasks_finished=50, total_task_seconds=5000.0)
-        assert record.avg_task_seconds == pytest.approx(100.0)
+        frame = frame_of([make_row(tasks_finished=50, total_task_seconds=5000.0)])
+        assert frame.avg_task_seconds()[0] == pytest.approx(100.0)
 
     def test_degenerate_ratios_are_zero(self):
-        record = make_record(tasks_finished=0, total_task_seconds=0.0,
-                             total_cpu_seconds=0.0)
-        assert record.bytes_per_second == 0.0
-        assert record.bytes_per_cpu_time == 0.0
-        assert record.avg_task_seconds == 0.0
+        frame = frame_of(
+            [make_row(tasks_finished=0, total_task_seconds=0.0, total_cpu_seconds=0.0)]
+        )
+        assert frame.bytes_per_second()[0] == 0.0
+        assert frame.bytes_per_cpu_time()[0] == 0.0
+        assert frame.avg_task_seconds()[0] == 0.0
 
 
 class TestQueueStats:
+    """Per-row queue-wait summaries, read off the frame."""
+
     def test_p99_and_mean(self):
-        stats = QueueStats(waits=list(np.arange(1.0, 101.0)))
-        assert stats.mean_wait() == pytest.approx(50.5)
-        assert stats.p99_wait() == pytest.approx(np.percentile(np.arange(1, 101), 99))
+        frame = frame_of([make_row(queue_waits=np.arange(1.0, 101.0).tolist())])
+        assert frame.queue_mean_wait()[0] == pytest.approx(50.5)
+        assert frame.queue_p99_wait()[0] == pytest.approx(
+            np.percentile(np.arange(1, 101), 99)
+        )
 
     def test_empty_waits(self):
-        stats = QueueStats()
-        assert stats.p99_wait() == 0.0
-        assert stats.mean_wait() == 0.0
+        frame = frame_of([make_row()])
+        assert frame.queue_p99_wait()[0] == 0.0
+        assert frame.queue_mean_wait()[0] == 0.0
 
 
 class TestTaskLog:

@@ -48,6 +48,7 @@ from repro.stats.treatment import TreatmentEffect
 from repro.stats.ttest import TTestResult
 from repro.utils.errors import ServiceError
 from repro.workload import SeasonalityProfile, SpikeProfile
+from tests.conftest import rows_of
 
 CAMPAIGN_KW = dict(observe_days=0.5, impact_days=0.5, flight_hours=4.0)
 TENANT_SEEDS = (("east", 11), ("west", 23), ("north", 47))
@@ -262,7 +263,7 @@ class TestScenarios:
         # After the drain hour, the group's observed concurrency collapses.
         late = [
             r.avg_running_containers
-            for r in observation.monitor.frame.to_records()
+            for r in rows_of(observation.monitor.frame)
             if r.sku == scenario.decommission_sku
             and r.hour >= scenario.decommission_hour + 1
         ]

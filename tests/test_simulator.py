@@ -33,11 +33,11 @@ def quick_sim(seed=5, hours=2.0, jobs_per_hour=150.0, config=None, sim_config=No
 class TestTelemetryConservation:
     def test_one_record_per_machine_hour(self, small_sim_result):
         cluster, result = small_sim_result
-        assert len(result.records) == len(cluster.machines) * 6
+        assert len(result.frame) == len(cluster.machines) * 6
 
     def test_tasks_finished_consistent_with_job_records(self, small_sim_result):
         _, result = small_sim_result
-        telemetry_tasks = sum(r.tasks_finished for r in result.records)
+        telemetry_tasks = int(result.frame.column("tasks_finished").sum())
         job_tasks = sum(j.n_tasks for j in result.jobs)
         # Telemetry counts every finished task; completed jobs are a subset.
         assert telemetry_tasks >= job_tasks
@@ -46,15 +46,15 @@ class TestTelemetryConservation:
     def test_task_seconds_match_between_views(self, small_sim_result):
         """Job-level and machine-level task-seconds agree for completed work."""
         _, result = small_sim_result
-        machine_seconds = sum(r.total_task_seconds for r in result.records)
+        machine_seconds = sum(result.frame.column("total_task_seconds").tolist())
         job_seconds = sum(j.total_task_seconds for j in result.jobs)
         assert machine_seconds >= job_seconds * 0.99
 
     def test_utilization_bounded(self, small_sim_result):
         _, result = small_sim_result
-        for record in result.records:
-            assert 0.0 <= record.cpu_utilization <= 1.0
-            assert record.avg_running_containers >= 0.0
+        utilization = result.frame.column("cpu_utilization")
+        assert np.all((utilization >= 0.0) & (utilization <= 1.0))
+        assert np.all(result.frame.column("avg_running_containers") >= 0.0)
 
     def test_submitted_ge_completed(self, small_sim_result):
         _, result = small_sim_result
@@ -84,8 +84,8 @@ class TestDeterminism:
         result_b = sim_b.run(2.0)
         assert result_a.tasks_started == result_b.tasks_started
         assert result_a.jobs_completed == result_b.jobs_completed
-        totals_a = [r.total_data_read_bytes for r in result_a.records]
-        totals_b = [r.total_data_read_bytes for r in result_b.records]
+        totals_a = result_a.frame.column("total_data_read_bytes")
+        totals_b = result_b.frame.column("total_data_read_bytes")
         np.testing.assert_allclose(totals_a, totals_b)
 
     def test_different_seed_differs(self):
@@ -106,11 +106,11 @@ class TestScheduledActions:
 
         simulator.schedule_action(3600.0, raise_limits)
         result = simulator.run(3.0)
-        monitor = PerformanceMonitor(result.records)
-        before = monitor.filter(hour_range=(0, 1)).frame.to_records()
-        after = monitor.filter(hour_range=(2, 3)).frame.to_records()
-        assert all(r.max_running_containers == 8 for r in before)
-        assert all(r.max_running_containers == 16 for r in after)
+        monitor = PerformanceMonitor(result.frame)
+        before = monitor.filter(hour_range=(0, 1)).frame
+        after = monitor.filter(hour_range=(2, 3)).frame
+        assert np.all(before.column("max_running_containers") == 8)
+        assert np.all(after.column("max_running_containers") == 16)
 
     def test_action_outside_horizon_ignored(self):
         _, simulator, _ = quick_sim(hours=1.0)
@@ -127,14 +127,14 @@ class TestQueueingBehaviour:
                                           hours=2.0)
         result = simulator.run(2.0)
         assert result.tasks_queued > 0
-        waits = [w for r in result.records for w in r.queue.waits]
-        assert waits and min(waits) >= 0.0
+        waits = result.frame.waits_flat()
+        assert len(waits) and waits.min() >= 0.0
 
     def test_queued_tasks_eventually_run(self):
         config = YarnConfig(default_limits=GroupLimits(max_running_containers=2))
         _, simulator, _ = quick_sim(config=config, jobs_per_hour=250.0, hours=4.0)
         result = simulator.run(4.0)
-        dequeued = sum(r.queue.dequeued for r in result.records)
+        dequeued = int(result.frame.column("queue_dequeued").sum())
         assert dequeued > 0
 
 

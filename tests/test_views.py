@@ -5,7 +5,7 @@ import pytest
 
 from repro.telemetry.monitor import PerformanceMonitor
 from repro.telemetry.views import ecdf, scatter_view, utilization_bands
-from tests.conftest import make_record
+from tests.conftest import frame_of, make_row
 
 
 class TestEcdf:
@@ -28,16 +28,16 @@ class TestEcdf:
 class TestUtilizationBands:
     def _monitor(self):
         rng = np.random.default_rng(0)
-        records = []
+        rows = []
         for hour in range(24):
             center = 0.5 + 0.2 * np.sin(hour / 24 * 2 * np.pi)
             for machine in range(50):
-                records.append(
-                    make_record(machine_id=machine, hour=hour,
-                                cpu_utilization=float(np.clip(
-                                    center + rng.normal(0, 0.05), 0, 1)))
+                rows.append(
+                    make_row(machine_id=machine, hour=hour,
+                             cpu_utilization=float(np.clip(
+                                 center + rng.normal(0, 0.05), 0, 1)))
                 )
-        return PerformanceMonitor(records)
+        return PerformanceMonitor(frame_of(rows))
 
     def test_band_ordering(self):
         bands = utilization_bands(self._monitor())
@@ -58,18 +58,18 @@ class TestUtilizationBands:
 class TestScatterView:
     def _monitor(self):
         rng = np.random.default_rng(1)
-        records = []
+        rows = []
         for sku, slope in [("Gen 1.1", 1e11), ("Gen 4.1", 3e11)]:
             for i in range(100):
                 util = rng.uniform(0.2, 0.9)
-                records.append(
-                    make_record(
+                rows.append(
+                    make_row(
                         machine_id=i, sku=sku, software="SC1",
                         cpu_utilization=util,
                         total_data_read_bytes=slope * util + rng.normal(0, 1e9),
                     )
                 )
-        return PerformanceMonitor(records)
+        return PerformanceMonitor(frame_of(rows))
 
     def test_one_series_per_group(self):
         series = scatter_view(self._monitor())
@@ -85,6 +85,6 @@ class TestScatterView:
             assert series.correlation() > 0.9
 
     def test_degenerate_correlation_zero(self):
-        records = [make_record(cpu_utilization=0.5, total_data_read_bytes=1e9)] * 5
-        series = scatter_view(PerformanceMonitor(records))[0]
+        rows = [make_row(cpu_utilization=0.5, total_data_read_bytes=1e9)] * 5
+        series = scatter_view(PerformanceMonitor(frame_of(rows)))[0]
         assert series.correlation() == 0.0

@@ -6,21 +6,21 @@ from repro.core.whatif import WhatIfEngine
 from repro.ml import LinearRegression
 from repro.telemetry.monitor import PerformanceMonitor
 from repro.utils.errors import ModelNotCalibratedError, TelemetryError
-from tests.conftest import synthetic_group_records
+from tests.conftest import frame_of, synthetic_group_records, synthetic_group_rows
 
 
 @pytest.fixture()
 def calibrated_engine():
-    records = synthetic_group_records(
+    rows = synthetic_group_rows(
         "Gen 1.1", "SC1", g_slope=0.03, g_intercept=0.02,
         f_slope=800.0, f_intercept=50.0, containers_center=17.0, seed=1,
     )
-    records += synthetic_group_records(
+    rows += synthetic_group_rows(
         "Gen 4.1", "SC2", g_slope=0.012, g_intercept=0.01,
         f_slope=150.0, f_intercept=40.0, containers_center=35.0, seed=2,
     )
     engine = WhatIfEngine(model_factory=LinearRegression)
-    engine.calibrate(PerformanceMonitor(records))
+    engine.calibrate(PerformanceMonitor(frame_of(rows)))
     return engine
 
 
@@ -60,21 +60,21 @@ class TestCalibration:
 
     def test_empty_monitor_rejected(self):
         with pytest.raises(TelemetryError):
-            WhatIfEngine().calibrate(PerformanceMonitor([]))
+            WhatIfEngine().calibrate(PerformanceMonitor())
 
     def test_small_groups_skipped_with_reason(self):
-        records = synthetic_group_records("Gen 2.2", "SC1", n_machines=1, n_days=1)
+        frame = synthetic_group_records("Gen 2.2", "SC1", n_machines=1, n_days=1)
         # 1 machine x 1 day = 1 observation < min_observations.
         engine = WhatIfEngine(min_observations=6)
-        report = engine.calibrate(PerformanceMonitor(records))
+        report = engine.calibrate(PerformanceMonitor(frame))
         assert "SC1_Gen 2.2" in report.skipped_groups
         assert engine.groups() == []
 
     def test_calibration_report_quality(self, calibrated_engine):
         # Recalibrate to get the report.
-        records = synthetic_group_records("Gen 3.1", "SC1", noise=0.002, seed=3)
+        frame = synthetic_group_records("Gen 3.1", "SC1", noise=0.002, seed=3)
         engine = WhatIfEngine(model_factory=LinearRegression)
-        report = engine.calibrate(PerformanceMonitor(records))
+        report = engine.calibrate(PerformanceMonitor(frame))
         # g and f are near-exact; h carries integer-truncation noise from the
         # synthetic task counts, so the floor is looser.
         assert report.min_r_squared() > 0.7

@@ -13,30 +13,30 @@ from repro.core.applications.yarn_config import YarnConfigTuner
 from repro.core.whatif import WhatIfEngine
 from repro.ml import LinearRegression
 from repro.telemetry.monitor import PerformanceMonitor
-from tests.conftest import synthetic_group_records
+from tests.conftest import frame_of, synthetic_group_rows
 
 
 @pytest.fixture(scope="module")
 def engine():
-    records = []
-    records += synthetic_group_records(
+    rows = []
+    rows += synthetic_group_rows(
         "Gen 1.1", "SC1", g_slope=0.035, f_slope=900.0, f_intercept=120.0,
         containers_center=18.0, seed=21,
     )
-    records += synthetic_group_records(
+    rows += synthetic_group_rows(
         "Gen 2.2", "SC1", g_slope=0.025, f_slope=450.0, f_intercept=90.0,
         containers_center=24.0, seed=22,
     )
-    records += synthetic_group_records(
+    rows += synthetic_group_rows(
         "Gen 2.2", "SC2", g_slope=0.025, f_slope=400.0, f_intercept=85.0,
         containers_center=24.0, seed=23,
     )
-    records += synthetic_group_records(
+    rows += synthetic_group_rows(
         "Gen 4.1", "SC2", g_slope=0.016, f_slope=120.0, f_intercept=60.0,
         containers_center=30.0, seed=24,
     )
     eng = WhatIfEngine(model_factory=LinearRegression)
-    eng.calibrate(PerformanceMonitor(records))
+    eng.calibrate(PerformanceMonitor(frame_of(rows)))
     return eng
 
 

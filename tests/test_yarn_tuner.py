@@ -10,7 +10,7 @@ from repro.ml import LinearRegression
 from repro.optim import grid_search
 from repro.telemetry.monitor import PerformanceMonitor
 from repro.utils.errors import OptimizationError
-from tests.conftest import synthetic_group_records
+from tests.conftest import frame_of, synthetic_group_rows
 
 
 def build_engine(slow_latency_slope=900.0, fast_latency_slope=120.0):
@@ -18,25 +18,25 @@ def build_engine(slow_latency_slope=900.0, fast_latency_slope=120.0):
 
     The small fleet has Gen 1.1 (SC1), Gen 2.2 (SC1+SC2), Gen 4.1 (SC2).
     """
-    records = []
-    records += synthetic_group_records(
+    rows = []
+    rows += synthetic_group_rows(
         "Gen 1.1", "SC1", g_slope=0.035, f_slope=slow_latency_slope,
         f_intercept=120.0, containers_center=18.0, seed=10,
     )
-    records += synthetic_group_records(
+    rows += synthetic_group_rows(
         "Gen 2.2", "SC1", g_slope=0.025, f_slope=450.0,
         f_intercept=90.0, containers_center=24.0, seed=11,
     )
-    records += synthetic_group_records(
+    rows += synthetic_group_rows(
         "Gen 2.2", "SC2", g_slope=0.025, f_slope=400.0,
         f_intercept=85.0, containers_center=24.0, seed=12,
     )
-    records += synthetic_group_records(
+    rows += synthetic_group_rows(
         "Gen 4.1", "SC2", g_slope=0.016, f_slope=fast_latency_slope,
         f_intercept=60.0, containers_center=30.0, seed=13,
     )
     engine = WhatIfEngine(model_factory=LinearRegression)
-    engine.calibrate(PerformanceMonitor(records))
+    engine.calibrate(PerformanceMonitor(frame_of(rows)))
     return engine
 
 
@@ -77,16 +77,16 @@ class TestLpDirection:
         the same change direction."""
         from repro.ml import QuantileRegressor
 
-        records = []
-        records += synthetic_group_records(
+        rows = []
+        rows += synthetic_group_rows(
             "Gen 1.1", "SC1", g_slope=0.035, f_slope=900.0,
             f_intercept=120.0, containers_center=18.0, seed=10,
         )
-        records += synthetic_group_records(
+        rows += synthetic_group_rows(
             "Gen 4.1", "SC2", g_slope=0.016, f_slope=120.0,
             f_intercept=60.0, containers_center=30.0, seed=13,
         )
-        monitor = PerformanceMonitor(records)
+        monitor = PerformanceMonitor(frame_of(rows))
         mean_engine = WhatIfEngine(model_factory=LinearRegression)
         mean_engine.calibrate(monitor)
         q_engine = WhatIfEngine(model_factory=lambda: QuantileRegressor(tau=0.85))
