@@ -114,6 +114,11 @@ class YarnScheduler:
         """How many machines currently have container-queue space."""
         return len(self._queue_space)
 
+    @property
+    def saturated(self) -> bool:
+        """True when no machine has a free slot or queue space."""
+        return not self._available and not self._queue_space
+
     # ------------------------------------------------------------------
     # Placement
     # ------------------------------------------------------------------
@@ -123,7 +128,8 @@ class YarnScheduler:
         Returns the machine the caller must start ``task`` on, or None when
         every slot was busy and ``task`` went into a random machine's queue
         (``waited`` backdates that enqueue: see :meth:`Machine.enqueue`).
-        Raises :class:`SchedulingError` when every queue is full too.
+        Raises :class:`SchedulingError` when the scheduler is
+        :attr:`saturated`; callers check that first.
         """
         self.placements += 1
         available = self._available

@@ -14,17 +14,18 @@ Event kinds, in priority order at equal timestamps:
   power-cap changes). Runs before arrivals/finishes of the same instant.
 * ``ARRIVAL`` — a job arrives; its first stage's tasks are placed.
 * ``FINISH`` — a task finishes; stage/job bookkeeping, queue draining.
-* ``RETRY`` — a placement deferred by cluster-wide backpressure is retried.
 * ``CRASH`` / ``RECOVER`` / ``SLOW`` — fault-plane events (machine dies,
   comes back, or becomes a straggler). Scheduled only by explicit fault
   injection (:mod:`repro.faults`), so a fault-free run never dispatches
   them — the no-fault hot loop is bit-identical with the plane compiled in.
 
-When every machine's container queue is full (possible once per-group
-``max_queued_containers`` limits are tuned down), placement exercises
-backpressure instead of failing: the task is deferred and retried after
-``SimulationConfig.placement_retry_s`` — the RM-level behaviour of a real
-YARN cluster under overload.
+When no machine has a free slot or queue space (possible once per-group
+``max_queued_containers`` limits are tuned down), the task joins one
+cluster-wide RM-pending FIFO, as a YARN ResourceManager holds outstanding
+container requests, and no event is scheduled. Whenever machines gain
+capacity (a finish at the slot limit, ``RECOVER``, a config change, a build
+rollout), :meth:`ClusterSimulator.capacity_changed` serves the FIFO, and the
+time a task spent there joins its recorded queue wait.
 
 The simulator is deterministic for a given seed (all randomness flows through
 named :class:`~repro.utils.rng.RngStreams`).
@@ -35,7 +36,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from collections.abc import Callable
+from collections import deque
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -46,7 +48,6 @@ from repro.obs.profile import SimulatorProfile
 from repro.obs.trace import current_tracer
 from repro.telemetry.frame import MachineHourFrame
 from repro.telemetry.records import JobRecord, ResourceSample, TaskLog
-from repro.utils.errors import SchedulingError
 from repro.utils.rng import RngStreams
 from repro.utils.units import SECONDS_PER_HOUR
 from repro.workload.generator import Workload
@@ -60,11 +61,10 @@ __all__ = [
     "ClusterSimulator",
 ]
 
-_HOUR, _ACTION, _ARRIVAL, _FINISH, _SAMPLE, _RETRY = 0, 1, 2, 3, 4, 5
-# Fault-plane kinds append after the original six: renumbering the existing
-# kinds would change equal-timestamp ordering and break bit-identity of
-# fault-free runs against earlier builds.
-_CRASH, _RECOVER, _SLOW = 6, 7, 8
+# Only the relative order matters (it breaks equal-timestamp ties), and
+# fault-plane kinds sort after the others so fault-free runs keep the order
+# they had before the plane existed.
+_HOUR, _ACTION, _ARRIVAL, _FINISH, _SAMPLE, _CRASH, _RECOVER, _SLOW = range(8)
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,25 +75,18 @@ class SimulationConfig:
     1.0 logs every task (needed for critical-path analyses).
     ``resource_sample_period_s`` > 0 samples (cores, RAM, SSD) usage of up to
     ``resource_sample_machines`` machines at that period (Figure 13 data).
-    ``placement_retry_s`` is the backpressure delay before a placement that
-    found every container queue full is retried.
     """
 
     task_log_sample_rate: float = 0.0
     resource_sample_period_s: float = 0.0
     resource_sample_machines: int = 0
     resource_sample_sku: str | None = None
-    placement_retry_s: float = 60.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.task_log_sample_rate <= 1.0:
             raise ValueError("task_log_sample_rate must be in [0, 1]")
         if self.resource_sample_period_s < 0 or self.resource_sample_machines < 0:
             raise ValueError("resource sampling knobs must be non-negative")
-        # A zero delay would re-push RETRY events at the same instant forever
-        # under overload, so simulated time could never advance.
-        if not self.placement_retry_s > 0.0:
-            raise ValueError("placement_retry_s must be positive")
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,19 +125,13 @@ class ObservationSpec:
         """True when the spec asks for nothing beyond baseline telemetry."""
         return self == ObservationSpec()
 
-    def to_sim_config(self, base: SimulationConfig | None = None) -> SimulationConfig:
-        """The :class:`SimulationConfig` realizing this spec.
-
-        ``base`` supplies non-telemetry knobs (backpressure retry delay) to
-        preserve; telemetry knobs always come from the spec itself.
-        """
-        base = base if base is not None else SimulationConfig()
+    def to_sim_config(self) -> SimulationConfig:
+        """The :class:`SimulationConfig` realizing this spec."""
         return SimulationConfig(
             task_log_sample_rate=self.task_log_sample_rate,
             resource_sample_period_s=self.resource_sample_period_s,
             resource_sample_machines=self.resource_sample_machines,
             resource_sample_sku=self.resource_sample_sku,
-            placement_retry_s=base.placement_retry_s,
         )
 
     def fingerprint(self) -> str:
@@ -174,7 +161,7 @@ class SimulationResult:
     jobs_completed: int = 0
     tasks_started: int = 0
     tasks_queued: int = 0
-    tasks_deferred: int = 0  # tasks hit by cluster-wide backpressure (≥1 time)
+    tasks_deferred: int = 0  # placements that joined the RM-pending FIFO
     # Fault-plane counters (all zero on fault-free runs).
     machines_crashed: int = 0
     machines_recovered: int = 0
@@ -232,6 +219,8 @@ class ClusterSimulator:
             self.streams.get("tasklog-seed").integers(0, 2**31).item()
         )
         self._sampled_machines: list[Machine] = []
+        # (task, time deferred) for placements that found the cluster saturated.
+        self.rm_pending: deque[tuple[Task, float]] = deque()
         self._pending_actions: list[tuple[float, Callable[[ClusterSimulator], None]]] = []
 
     # ------------------------------------------------------------------
@@ -276,11 +265,35 @@ class ClusterSimulator:
 
     def apply_yarn_config(self, config) -> None:
         """Apply a new YARN config now and refresh scheduler bookkeeping."""
+        machines = self.cluster.machines
         self.cluster.apply_yarn_config(config)
-        for machine in self.cluster.machines:
+        for machine in machines:
             machine.advance(self.now)
-            self._drain_queue(machine)
+        self.capacity_changed(machines)
+        # Membership in cluster order, as a scheduler built on this config has.
         self.scheduler.rebuild()
+
+    def capacity_changed(self, machines: Iterable[Machine]) -> None:
+        """Hand out whatever slots or queue space ``machines`` just gained.
+
+        Call after anything that changes a machine's limits or availability
+        mid-run, with the machines already advanced to ``now``. Each machine
+        starts its own queued work in its free slots and has its scheduler
+        membership refreshed; then the RM-pending FIFO is served oldest
+        first, through the normal uniform placement, until it is empty or
+        the cluster is saturated again.
+        """
+        scheduler = self.scheduler
+        for machine in machines:
+            while machine.has_free_slot and machine.queue:
+                task, wait = machine.dequeue(self.now)
+                self._start_on(machine, task, wait)
+            scheduler.refresh_machine(machine)
+        pending = self.rm_pending
+        while pending and not scheduler.saturated:
+            task, deferred_at = pending.popleft()
+            task.carried_wait += self.now - deferred_at
+            self._place(task)
 
     def run(self, duration_hours: float) -> SimulationResult:
         """Simulate ``duration_hours`` hours and return the collected telemetry."""
@@ -309,7 +322,7 @@ class ClusterSimulator:
             time, kind, seq, payload = heapq.heappop(heap)
             if time > horizon:
                 # Put it back: at the horizon the heap still holds every
-                # running task's FINISH and every pending RETRY.
+                # running task's FINISH.
                 heapq.heappush(heap, (time, kind, seq, payload))
                 break
             self.now = time
@@ -335,8 +348,6 @@ class ClusterSimulator:
                 payload(self)
             elif kind == _SAMPLE:
                 self._handle_sample(payload, horizon)
-            elif kind == _RETRY:
-                self._place(payload, retried=True)
             elif kind == _CRASH:
                 self._handle_crash(payload)
             elif kind == _RECOVER:
@@ -346,7 +357,7 @@ class ClusterSimulator:
                 machine.slowdown = factor
             # Attribute the dispatch we just ran: hourly flushes and resource
             # samples are telemetry rollup; everything else (arrivals,
-            # finishes, actions, retries) is event processing. Placement time
+            # finishes, actions, faults) is event processing. Placement time
             # nests inside event dispatches and is carved out by
             # SimulatorProfile.as_phases().
             if profiling:
@@ -386,31 +397,26 @@ class ClusterSimulator:
         for task in job.start_next_stage(self._stage_rng):
             self._place(task)
 
-    def _place(self, task: Task, retried: bool = False) -> None:
+    def _place(self, task: Task) -> None:
+        if self.scheduler.saturated:
+            # No slot and no queue space anywhere: the RM holds the task,
+            # with no event, until capacity_changed serves it.
+            self.result.tasks_deferred += 1
+            self.rm_pending.append((task, self.now))
+            return
         profiling = self._profiling
         if profiling:
             # repro: allow[REP001] obs-gated profiling: attribution only, never enters simulation state
             tick = perf_counter()
         wait = task.carried_wait
-        try:
-            machine = self.scheduler.place(task, self.now, wait)
-        except SchedulingError:
-            if profiling:
-                self._note_placement(tick)
-            # Every queue is full: back off and retry instead of failing —
-            # finite tuned queue limits must be simulable under overload.
-            # Each task counts once, however many retries it takes.
-            if not retried:
-                self.result.tasks_deferred += 1
-            self._push(self.now + self.config.placement_retry_s, _RETRY, task)
-            return
+        machine = self.scheduler.place(task, self.now, wait)
         if profiling:
             self._note_placement(tick)
         if wait > 0.0:
-            # The wait was served on a machine that died and is now joined
-            # into this placement: a queued task's enqueue was backdated by
-            # it, and a started task samples it on the machine that runs it
-            # so frame telemetry sees the end-to-end figure.
+            # The wait was served RM-pending or on a machine that died, and
+            # is now joined into this placement: a queued task's enqueue is
+            # backdated by it, and a started task samples it on the machine
+            # that runs it so frame telemetry sees the end-to-end figure.
             task.carried_wait = 0.0
             if machine is not None:
                 machine.note_carried_wait(wait)
@@ -489,13 +495,7 @@ class ClusterSimulator:
                     )
                 )
         if refresh:
-            self._drain_queue(machine)
-            self.scheduler.refresh_machine(machine)
-
-    def _drain_queue(self, machine: Machine) -> None:
-        while machine.has_free_slot and machine.queue:
-            task, wait = machine.dequeue(self.now)
-            self._start_on(machine, task, wait)
+            self.capacity_changed((machine,))
 
     # ------------------------------------------------------------------
     # Fault handling
@@ -533,10 +533,9 @@ class ClusterSimulator:
             return
         self.result.machines_recovered += 1
         machine.recover(self.now)
-        # Readmit the machine to the scheduler's sets and let it pick up
-        # queued work immediately (its queue is empty post-crash, so this
-        # only flips set membership).
-        self.scheduler.refresh_machine(machine)
+        # Readmit the machine (its queue is empty post-crash) and let it
+        # serve RM-pending work.
+        self.capacity_changed((machine,))
 
     def _flush_hour(self, hour: int) -> None:
         end = (hour + 1) * SECONDS_PER_HOUR

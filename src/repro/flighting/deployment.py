@@ -887,9 +887,7 @@ class DeploymentModule:
         for machine in machines:
             machine.advance(sim.now)
         build.apply(sim.cluster, machines)
-        for machine in machines:
-            sim._drain_queue(machine)
-            sim.scheduler.refresh_machine(machine)
+        sim.capacity_changed(machines)
         execution._applied.append((build, list(machines)))
 
     def _apply_wave(
@@ -923,9 +921,7 @@ class DeploymentModule:
             for machine in machines:
                 machine.advance(sim.now)
             build.revert(sim.cluster, machines)
-            for machine in machines:
-                sim._drain_queue(machine)
-                sim.scheduler.refresh_machine(machine)
+            sim.capacity_changed(machines)
         execution._applied.clear()
         # Checkpoint-restored waves are as deployed as applied ones: their
         # re-applied builds were just undone too, and the audit trail (and

@@ -7,6 +7,7 @@ new builds to deploy to the selected machines."
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.cluster.machine import Machine
@@ -54,22 +55,17 @@ class Flight:
     def schedule_on(self, simulator: ClusterSimulator) -> None:
         """Register apply/revert actions on a simulator (before ``run``)."""
 
-        def apply_action(sim: ClusterSimulator) -> None:
-            self.build.apply(sim.cluster, self.machines)
-            self.applied = True
-            for machine in self.machines:
-                machine.advance(sim.now)
-                sim.scheduler.refresh_machine(machine)
-
-        simulator.schedule_action(hours(self.start_hour), apply_action)
-
-        if self.end_hour is not None:
-
-            def revert_action(sim: ClusterSimulator) -> None:
-                self.build.revert(sim.cluster, self.machines)
-                self.applied = False
+        def switch(apply: bool) -> Callable[[ClusterSimulator], None]:
+            def action(sim: ClusterSimulator) -> None:
+                change = self.build.apply if apply else self.build.revert
+                change(sim.cluster, self.machines)
+                self.applied = apply
                 for machine in self.machines:
                     machine.advance(sim.now)
-                    sim.scheduler.refresh_machine(machine)
+                sim.capacity_changed(self.machines)
 
-            simulator.schedule_action(hours(self.end_hour), revert_action)
+            return action
+
+        simulator.schedule_action(hours(self.start_hour), switch(True))
+        if self.end_hour is not None:
+            simulator.schedule_action(hours(self.end_hour), switch(False))

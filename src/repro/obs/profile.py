@@ -6,7 +6,7 @@ was one opaque number. :class:`SimulatorProfile` is the accumulator
 runs, splitting wall-clock into the three phases ROADMAP item 1 needs to
 profile-gate the event-driven rewrite:
 
-* **placement** — ``scheduler.place`` calls (including backpressure retries);
+* **placement** — ``scheduler.place`` calls;
 * **event processing** — task arrival/finish/action dispatch *excluding* the
   placement work nested inside it;
 * **telemetry rollup** — hourly machine-record flushes and utilization

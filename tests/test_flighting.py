@@ -91,6 +91,37 @@ class TestFlight:
         )
         assert flight.machine_ids == {0, 1, 2}
 
+    def test_queued_work_starts_when_a_flight_raises_limits(self):
+        """Applying a flight starts the flighted machines' queued tasks at once."""
+        from repro.cluster import ClusterSimulator
+        from repro.cluster.config import GroupLimits, YarnConfig
+        from repro.utils.rng import RngStreams
+        from repro.workload import WorkloadGenerator, default_templates
+
+        config = YarnConfig(default_limits=GroupLimits(max_running_containers=2))
+        cluster = build_cluster(small_fleet_spec(), config)
+        workload = WorkloadGenerator(
+            default_templates(), jobs_per_hour=400.0, streams=RngStreams(5)
+        ).generate(2.0)
+        simulator = ClusterSimulator(cluster, workload, streams=RngStreams(6))
+        machines = cluster.machines[:12]
+        Flight(
+            name="wider", build=YarnLimitsBuild(max_running_containers=6),
+            machines=machines, start_hour=1.0,
+        ).schedule_on(simulator)
+        seen = {}
+
+        def probe(sim):  # registered after the flight: runs right after it
+            seen["idle_slots_with_queue"] = sum(
+                1 for m in machines if m.queue and m.has_free_slot
+            )
+            seen["running"] = sum(m.n_running for m in machines)
+
+        simulator.schedule_action(3600.0, probe)
+        simulator.run(1.5)
+        assert seen["running"] > 2 * len(machines)
+        assert seen["idle_slots_with_queue"] == 0
+
 
 class TestSafetyGate:
     def test_gate_passes_without_history(self, cluster):

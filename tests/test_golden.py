@@ -9,8 +9,8 @@ that changes any output — however slightly — fails here.
 
 The scenarios cover a mid-run power cap with the processor Feature (the
 throttle path and the per-machine constant refresh), a mid-run SC1 → SC2
-re-image (the I/O capacity refresh), queue overload with backpressure
-retries and the scheduler's fallback draw, the ``straggler-tail`` and
+re-image (the I/O capacity refresh), queue overload with the RM-pending
+FIFO and the scheduler's fallback draw, the ``straggler-tail`` and
 ``az-outage`` fault scenarios (crash/requeue with carried queue waits), and
 an :class:`ObservationSpec` run with a dense task log and resource samples.
 
@@ -32,7 +32,6 @@ import pytest
 
 from repro.cluster import (
     ClusterSimulator,
-    SimulationConfig,
     build_cluster,
     small_application_fleet_spec,
     small_fleet_spec,
@@ -179,13 +178,12 @@ def sc_migration():
 
 
 def queue_overload():
-    """Every queue saturated: RETRY events and the queue-space fallback."""
+    """Every queue saturated: the RM-pending FIFO and the queue-space fallback."""
     config = YarnConfig(
         default_limits=GroupLimits(max_running_containers=2, max_queued_containers=2)
     )
     simulator = _simulator(
-        small_fleet_spec(), 1.0, 300.0, seed=41, config=config,
-        sim_config=SimulationConfig(placement_retry_s=120.0),
+        small_fleet_spec(), 1.0, 300.0, seed=41, config=config
     )
     return simulator, 1.0
 

@@ -16,7 +16,6 @@ import pytest
 
 from repro.cluster import (
     ObservationSpec,
-    SimulationConfig,
     build_cluster,
     small_application_fleet_spec,
     small_fleet_spec,
@@ -186,12 +185,11 @@ class TestObservationSpec:
             resource_sample_machines=8,
             resource_sample_sku="Gen 4.1",
         )
-        config = spec.to_sim_config(SimulationConfig(placement_retry_s=30.0))
+        config = spec.to_sim_config()
         assert config.task_log_sample_rate == 0.5
         assert config.resource_sample_period_s == 60.0
         assert config.resource_sample_machines == 8
         assert config.resource_sample_sku == "Gen 4.1"
-        assert config.placement_retry_s == 30.0  # non-telemetry knob preserved
 
     def test_fingerprint_distinguishes_specs(self):
         a = ObservationSpec()

@@ -12,14 +12,13 @@ from scipy.optimize import linprog
 
 from repro.cluster import (
     ClusterSimulator,
-    SimulationConfig,
     build_cluster,
     small_fleet_spec,
 )
 from repro.cluster.config import GroupLimits, YarnConfig
 from repro.cluster.machine import Machine
 from repro.cluster.power import throttle_factor
-from repro.cluster.simulator import _FINISH, _RETRY
+from repro.cluster.simulator import _FINISH
 from repro.cluster.sku import DEFAULT_SKUS
 from repro.cluster.software import SC1, SC2
 from repro.faults import FaultInjector, FaultPlan, MachineSelector, OutageSpec, StragglerSpec
@@ -234,6 +233,68 @@ _fault_plans = st.builds(
 )
 
 
+def _run_conserving(plan, jobs_per_hour, max_running, max_queued, seed, actions=()):
+    """Simulate 2 h under ``plan`` and assert task conservation.
+
+    Every task of an unfinished job's current stage is exactly one of: a live
+    FINISH entry, in a machine queue, or in the RM-pending FIFO.
+    """
+    hours = 2.0
+    config = YarnConfig(
+        default_limits=GroupLimits(
+            max_running_containers=max_running, max_queued_containers=max_queued
+        )
+    )
+    cluster = build_cluster(small_fleet_spec(), config)
+    workload = WorkloadGenerator(
+        default_templates(), jobs_per_hour=jobs_per_hour, streams=RngStreams(seed)
+    ).generate(hours)
+    simulator = ClusterSimulator(cluster, workload, streams=RngStreams(seed + 1))
+    FaultInjector(plan).schedule_on(simulator)
+    for time, action in actions:
+        simulator.schedule_action(time, action)
+
+    jobs: dict[int, JobRuntime] = {}
+    finishes: Counter = Counter()
+    start_next_stage = JobRuntime.start_next_stage
+    on_task_finish = JobRuntime.on_task_finish
+
+    def recording_start(job, rng):
+        jobs[job.job_id] = job
+        return start_next_stage(job, rng)
+
+    def counting_finish(job, finish_time, duration, log_row):
+        finishes[job.job_id] += 1
+        return on_task_finish(job, finish_time, duration, log_row)
+
+    with (
+        patch.object(JobRuntime, "start_next_stage", recording_start),
+        patch.object(JobRuntime, "on_task_finish", counting_finish),
+    ):
+        result = simulator.run(hours)
+
+    outstanding: Counter = Counter()
+    for _time, kind, seq, payload in simulator._heap:
+        if kind == _FINISH and payload.finish_seq == seq:
+            outstanding[payload.job.job_id] += 1  # running
+    for machine in cluster.machines:
+        for entry in machine.queue:
+            outstanding[entry.task.job.job_id] += 1  # machine-queued
+    for task, _deferred_at in simulator.rm_pending:
+        outstanding[task.job.job_id] += 1  # RM-pending
+
+    assert result.jobs_completed == sum(job.finished for job in jobs.values())
+    for job_id, job in jobs.items():
+        if job.finished:
+            assert finishes[job_id] == job.n_tasks_total
+            assert outstanding[job_id] == 0
+        else:
+            assert job.remaining_in_stage == outstanding[job_id]
+            stage_size = job.n_tasks_total - finishes[job_id]
+            assert stage_size == job.remaining_in_stage
+    return result
+
+
 class TestSimulatorConservation:
     """Tasks are conserved across crashes, requeues and backpressure.
 
@@ -253,60 +314,7 @@ class TestSimulatorConservation:
     def test_every_task_is_finished_running_queued_or_retrying(
         self, plan, jobs_per_hour, max_running, max_queued, seed
     ):
-        hours = 2.0
-        config = YarnConfig(
-            default_limits=GroupLimits(
-                max_running_containers=max_running, max_queued_containers=max_queued
-            )
-        )
-        cluster = build_cluster(small_fleet_spec(), config)
-        workload = WorkloadGenerator(
-            default_templates(), jobs_per_hour=jobs_per_hour, streams=RngStreams(seed)
-        ).generate(hours)
-        simulator = ClusterSimulator(
-            cluster, workload, streams=RngStreams(seed + 1),
-            config=SimulationConfig(placement_retry_s=120.0),
-        )
-        FaultInjector(plan).schedule_on(simulator)
-
-        jobs: dict[int, JobRuntime] = {}
-        finishes: Counter = Counter()
-        start_next_stage = JobRuntime.start_next_stage
-        on_task_finish = JobRuntime.on_task_finish
-
-        def recording_start(job, rng):
-            jobs[job.job_id] = job
-            return start_next_stage(job, rng)
-
-        def counting_finish(job, finish_time, duration, log_row):
-            finishes[job.job_id] += 1
-            return on_task_finish(job, finish_time, duration, log_row)
-
-        with (
-            patch.object(JobRuntime, "start_next_stage", recording_start),
-            patch.object(JobRuntime, "on_task_finish", counting_finish),
-        ):
-            result = simulator.run(hours)
-
-        outstanding: Counter = Counter()
-        for _time, kind, seq, payload in simulator._heap:
-            if kind == _FINISH and payload.finish_seq == seq:
-                outstanding[payload.job.job_id] += 1  # running
-            elif kind == _RETRY:
-                outstanding[payload.job.job_id] += 1  # deferred
-        for machine in cluster.machines:
-            for entry in machine.queue:
-                outstanding[entry.task.job.job_id] += 1  # queued
-
-        assert result.jobs_completed == sum(job.finished for job in jobs.values())
-        for job_id, job in jobs.items():
-            if job.finished:
-                assert finishes[job_id] == job.n_tasks_total
-                assert outstanding[job_id] == 0
-            else:
-                assert job.remaining_in_stage == outstanding[job_id]
-                stage_size = job.n_tasks_total - finishes[job_id]
-                assert stage_size == job.remaining_in_stage
+        result = _run_conserving(plan, jobs_per_hour, max_running, max_queued, seed)
 
         # The hourly telemetry obeys its own laws under the same fault plans:
         # availability and utilization are fractions, the hourly container
@@ -323,3 +331,35 @@ class TestSimulatorConservation:
             <= frame.column("max_running_containers")
         )
         assert np.all(frame.column("faulted")[available < 1.0])
+
+    def test_recover_serves_work_left_pending_by_a_fleet_wide_crash(self):
+        """Every machine dies at 0.5 h on a choked fleet and returns at 0.75 h.
+
+        The crash sends all displaced work RM-pending, arrivals join it while
+        the fleet is down, and the RECOVER events alone hand it out.
+        """
+        plan = FaultPlan(outages=(OutageSpec(at_hour=0.5, duration_hours=0.25),))
+        recover_s = 0.75 * 3600.0
+        probes: dict[str, tuple[bool, int, int]] = {}
+
+        def probe(name):
+            def action(sim):
+                probes[name] = (
+                    all(m.faulted for m in sim.cluster.machines),
+                    len(sim.rm_pending),
+                    sim.result.tasks_started,
+                )
+            return action
+
+        # An action runs before a RECOVER at the same instant.
+        _run_conserving(
+            plan, 400.0, max_running=2, max_queued=0, seed=3,
+            actions=[(recover_s, probe("down")), (recover_s + 1e-3, probe("up"))],
+        )
+        all_down, pending_down, started_down = probes["down"]
+        all_down_after, pending_up, started_up = probes["up"]
+        assert all_down and pending_down > 0
+        assert not all_down_after
+        served = pending_down - pending_up
+        assert served > 0
+        assert started_up - started_down >= served

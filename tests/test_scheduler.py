@@ -73,6 +73,7 @@ class TestPlacement:
             machine = scheduler.place(make_task(), now=0.0)
             machine.start_task(0.0, 0.8, 2.0, 10.0, 1e9, 100.0)
             scheduler.note_started(machine)
+        assert not scheduler.saturated  # no free slot, but queue space
         overflow = make_task()
         assert scheduler.place(overflow, now=0.0) is None
         assert queue_host(cluster, overflow).queue[-1].enqueue_time == 0.0
@@ -85,6 +86,7 @@ class TestPlacement:
             machine = scheduler.place(make_task(), now=0.0)
             machine.start_task(0.0, 0.8, 2.0, 10.0, 1e9, 100.0)
             scheduler.note_started(machine)
+        assert scheduler.saturated
         with pytest.raises(SchedulingError):
             scheduler.place(make_task(), now=0.0)
 
@@ -177,6 +179,7 @@ class TestQueueSpaceSet:
         for _ in range(n):
             assert scheduler.place(make_task(), now=0.0) is None
         assert scheduler.queue_space_machines == 0
+        assert scheduler.saturated
         with pytest.raises(SchedulingError):
             scheduler.place(make_task(), now=0.0)
         # Draining one queue re-admits exactly that machine.
@@ -184,6 +187,7 @@ class TestQueueSpaceSet:
         machine.dequeue(5.0)
         scheduler.refresh_machine(machine)
         assert scheduler.queue_space_machines == 1
+        assert not scheduler.saturated
         follow_up = make_task()
         assert scheduler.place(follow_up, now=5.0) is None
         assert queue_host(cluster, follow_up) is machine

@@ -17,6 +17,8 @@ from repro.cluster.config import GroupLimits, YarnConfig
 from repro.telemetry import PerformanceMonitor
 from repro.utils.rng import RngStreams
 from repro.workload import WorkloadGenerator, default_templates
+from repro.workload.generator import JobArrival, Workload
+from repro.workload.template import JobTemplate, StageSpec
 
 
 def quick_sim(seed=5, hours=2.0, jobs_per_hour=150.0, config=None, sim_config=None):
@@ -160,10 +162,6 @@ class TestSimulationConfigValidation:
     @pytest.mark.parametrize(
         "knobs",
         [
-            # A zero delay re-pushes RETRY events at one instant forever.
-            {"placement_retry_s": 0.0},
-            {"placement_retry_s": -5.0},
-            {"placement_retry_s": float("nan")},
             {"task_log_sample_rate": -1.0},
             {"task_log_sample_rate": 1.5},
             {"resource_sample_period_s": -60.0},
@@ -177,7 +175,7 @@ class TestSimulationConfigValidation:
     def test_defaults_and_boundaries_accepted(self):
         SimulationConfig()
         SimulationConfig(task_log_sample_rate=1.0, resource_sample_period_s=0.0,
-                         resource_sample_machines=0, placement_retry_s=1e-3)
+                         resource_sample_machines=0)
 
 
 class TestCriticalPath:
@@ -193,7 +191,7 @@ class TestCriticalPath:
 
 
 class TestBackpressure:
-    """Full queues must defer placements (and retry), never crash the run."""
+    """Full queues must defer placements RM-side, never crash the run."""
 
     def test_full_queues_defer_and_retry(self):
         config = YarnConfig(
@@ -204,7 +202,7 @@ class TestBackpressure:
         _, simulator, _ = quick_sim(config=config, jobs_per_hour=400.0, hours=2.0)
         result = simulator.run(2.0)
         # The choked cluster hits cluster-wide backpressure, yet the run
-        # completes and keeps making progress via retries.
+        # completes and keeps making progress as capacity frees.
         assert result.tasks_deferred > 0
         assert result.tasks_started > 0
         assert result.jobs_completed > 0
@@ -215,9 +213,7 @@ class TestBackpressure:
         assert result.tasks_deferred == 0
 
     def test_deferral_counts_tasks_not_attempts(self):
-        """A stuck task retried many times must count exactly once."""
-        from repro.cluster.simulator import _RETRY
-
+        """A task waiting RM-side counts once and costs no events."""
         config = YarnConfig(
             default_limits=GroupLimits(
                 max_running_containers=1, max_queued_containers=0
@@ -227,21 +223,54 @@ class TestBackpressure:
         workload = WorkloadGenerator(
             default_templates(), jobs_per_hour=600.0, streams=RngStreams(11)
         ).generate(1.0)
-        fast_retry = ClusterSimulator(
-            cluster,
-            workload,
-            streams=RngStreams(12),
-            config=SimulationConfig(placement_retry_s=5.0),
+        simulator = ClusterSimulator(
+            cluster, workload, streams=RngStreams(12), profile=True
         )
-        result = fast_retry.run(1.0)
+        result = simulator.run(1.0)
         assert result.tasks_deferred > 0
         # Every task that ever reached placement either started, sits in a
-        # machine queue, or has one pending retry event — so a per-task
-        # counter is bounded by their sum. An attempt counter would be far
-        # larger (a stuck task retries every 5 s for the whole hour).
-        pending_retries = sum(
-            1 for (_, kind, _, _) in fast_retry._heap if kind == _RETRY
-        )
+        # machine queue, or waits in the RM-pending FIFO — so a per-task
+        # counter is bounded by their sum.
         queued_now = sum(len(m.queue) for m in cluster.machines)
-        placed_tasks = result.tasks_started + queued_now + pending_retries
+        placed_tasks = result.tasks_started + queued_now + len(simulator.rm_pending)
         assert result.tasks_deferred <= placed_tasks
+        # Waiting is free: the event count follows started tasks, not
+        # deferred tasks × horizon.
+        profile = result.profile
+        events = profile.events + profile.telemetry_events
+        assert events <= 3 * result.tasks_started
+
+    def test_rm_pending_time_is_recorded_as_queue_wait(self):
+        """A task's time in the RM-pending FIFO joins its recorded wait.
+
+        One job of 100 single-stage tasks lands at t=0 on 36 one-slot
+        machines with no queues, so 64 tasks wait RM-side and every task's
+        whole wait is its start time.
+        """
+        template = JobTemplate(
+            name="burst",
+            stages=(StageSpec("Extract", 100, n_tasks_sigma=0.0),),
+            size_sigma=0.0,
+        )
+        config = YarnConfig(
+            default_limits=GroupLimits(max_running_containers=1, max_queued_containers=0)
+        )
+        cluster = build_cluster(small_fleet_spec(), config)
+        simulator = ClusterSimulator(
+            cluster,
+            Workload(arrivals=[JobArrival(time=0.0, template=template)]),
+            streams=RngStreams(3),
+            config=SimulationConfig(task_log_sample_rate=1.0),
+        )
+        result = simulator.run(6.0)
+        assert result.tasks_deferred == 100 - len(cluster.machines)
+        log = result.task_log
+        assert len(log) == 100
+        deferred = [i for i, start in enumerate(log.start) if start > 0.0]
+        assert len(deferred) == result.tasks_deferred
+        for row in deferred:
+            assert log.queue_wait[row] >= log.start[row]
+        # The frame's queue-wait samples carry the same waits.
+        waits = np.sort(result.frame.waits_flat())
+        expected = np.sort([log.start[row] for row in deferred])
+        np.testing.assert_allclose(waits, expected)
