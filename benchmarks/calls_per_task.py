@@ -1,0 +1,89 @@
+"""Python calls per started task: the simulator's host-independent cost figure.
+
+Builds the ``sim-nominal`` window (the default 432-machine fleet for 2 h at
+nominal diurnal load, seeded like perfbench's variant of the same seed),
+runs ``ClusterSimulator.run`` under :mod:`cProfile`, and prints the total
+call count, the calls per started task, and the functions with the most
+calls and the most self time. Only the run is profiled: cluster build and
+workload generation happen before the profiler starts.
+
+The count is deterministic for a given seed and interpreter, so it does not
+depend on host speed; the self times do.
+
+Run from the repository root::
+
+    PYTHONPATH=src python benchmarks/calls_per_task.py --seed 0 --top 15
+"""
+
+from __future__ import annotations
+
+import argparse
+import cProfile
+import pstats
+
+from repro.cluster import ClusterSimulator, build_cluster, default_fleet_spec
+from repro.utils.rng import RngStreams
+from repro.workload import WorkloadGenerator, default_templates, estimate_jobs_per_hour
+from repro.workload.seasonality import SeasonalityProfile
+
+HOURS = 2.0
+OCCUPANCY = 0.62
+MEAN_TASK_S = 420.0
+
+
+def profile_window(seed: int) -> tuple[pstats.Stats, int]:
+    """Profile one ``sim-nominal`` run; returns (stats, tasks started)."""
+    spec = default_fleet_spec()
+    templates = default_templates()
+    jobs_per_hour = estimate_jobs_per_hour(
+        build_cluster(spec).total_container_slots,
+        OCCUPANCY,
+        templates,
+        mean_task_duration_s=MEAN_TASK_S,
+    )
+    streams = RngStreams(seed)
+    cluster = build_cluster(spec)
+    workload = WorkloadGenerator(
+        templates,
+        jobs_per_hour=jobs_per_hour,
+        seasonality=SeasonalityProfile(),
+        streams=streams.spawn("workload"),
+    ).generate(HOURS)
+    simulator = ClusterSimulator(cluster, workload, streams=streams.spawn("sim"))
+    profiler = cProfile.Profile()
+    profiler.enable()
+    result = simulator.run(HOURS)
+    profiler.disable()
+    return pstats.Stats(profiler), result.tasks_started
+
+
+def _label(func: tuple[str, int, str]) -> str:
+    filename, line, name = func
+    if filename == "~":  # builtins and C methods
+        return name
+    return f"{filename.rsplit('/', 2)[-1]}:{line}({name})"
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--top", type=int, default=12, help="rows per table")
+    args = parser.parse_args(argv)
+
+    stats, tasks = profile_window(args.seed)
+    print(f"sim-nominal seed {args.seed}: {stats.total_calls:,} calls, "
+          f"{tasks:,} tasks started, {stats.total_calls / tasks:.2f} calls per task")
+    rows = [
+        (func, calls, self_s, cum_s)
+        for func, (_prim, calls, self_s, cum_s, _callers) in stats.stats.items()
+    ]
+    for title, key in (("most calls", 1), ("most self time", 2)):
+        print(f"\n{title}:")
+        print(f"{'calls':>10} {'per task':>9} {'self s':>8} {'cum s':>8}  function")
+        for func, calls, self_s, cum_s in sorted(rows, key=lambda r: -r[key])[: args.top]:
+            print(f"{calls:>10,} {calls / tasks:>9.2f} {self_s:>8.3f} {cum_s:>8.3f}  "
+                  f"{_label(func)}")
+
+
+if __name__ == "__main__":
+    main()

@@ -4,7 +4,10 @@ The machine owns all *local* runtime state — running containers, the
 low-priority container queue, power state — and all telemetry accounting.
 Telemetry uses exact time integrals: every state change first advances the
 integrals with the old state (``advance``), then applies the change, so the
-hourly averages are exact regardless of event spacing. At every hour boundary
+hourly averages are exact regardless of event spacing. ``start_task`` and
+``finish_task``, which run once per task, inline the healthy uncapped case
+of ``advance`` (and ``start_task`` inlines ``task_duration``) with the same
+float operations in the same order. At every hour boundary
 the simulator calls :meth:`flush_hour_into`, which appends the machine-hour to
 the run's :class:`~repro.telemetry.frame.MachineHourFrame` and resets the
 accumulators.
@@ -22,10 +25,9 @@ current I/O rate against the temp-store medium (HDD for SC1, SSD for SC2).
 Everything in that formula that depends only on configuration — cores,
 ``speed · feature``, ``beta``, the temp-store I/O capacity and the software's
 I/O coefficient — is cached in slots and refreshed whenever ``software`` or
-``feature_enabled`` is assigned, so the per-event paths (:meth:`advance`,
-:meth:`start_task`, :meth:`finish_task`) read plain attributes instead of
-recomputing them. A power cap enters only through the throttle factor, which
-depends on the utilization at task start.
+``feature_enabled`` is assigned, so the per-event paths read plain
+attributes instead of recomputing them. A power cap enters only through the
+throttle factor, which depends on the utilization at task start.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from dataclasses import dataclass
 
 from repro.cluster import power as power_model
 from repro.cluster.config import GroupLimits
+from repro.cluster.power import UTILIZATION_EXPONENT
 from repro.cluster.sku import Sku
 from repro.cluster.software import MachineGroupKey, SoftwareConfig
 
@@ -271,35 +274,81 @@ class Machine:
         elif self.cap_watts is not None:
             self._int_power += self.power_draw() * dt
         else:
-            utilization = active / cores
-            if utilization > 1.0:
-                utilization = 1.0
+            utilization = active / cores if active < cores else 1.0
             self._uncapped_seconds += dt
-            self._uncapped_util_pow_seconds += (
-                utilization**power_model.UTILIZATION_EXPONENT * dt
-            )
+            self._uncapped_util_pow_seconds += utilization**UTILIZATION_EXPONENT * dt
         if self.queue:
             self._int_queue_len += len(self.queue) * dt
         self._last_update = now
 
     def start_task(self, now: float, cpu_fraction: float, ram_gb: float,
                    ssd_gb: float, data_bytes: float, work_seconds: float) -> float:
-        """Admit one container now; return its execution duration in seconds."""
-        self.advance(now)
-        self.n_running += 1
-        if self.n_running > self._peak_running:
-            self._peak_running = self.n_running
-        self.active_cores += cpu_fraction
+        """Admit one container now; return its execution duration in seconds.
+
+        Inlines :meth:`advance` (healthy, uncapped) and :meth:`task_duration`.
+        """
+        dt = now - self._last_update
+        if dt > 0.0 and (self.faulted or self.cap_watts is not None):
+            self.advance(now)
+        elif dt > 0.0:
+            active = self.active_cores
+            cores = self._cores
+            self._int_active_cores += (active if active < cores else cores) * dt
+            self._int_containers += self.n_running * dt
+            self._int_io_bytes += self.io_rate_bytes_per_s * dt
+            self._int_ram += self.ram_gb_in_use * dt
+            self._int_ssd += self.ssd_gb_in_use * dt
+            utilization = active / cores if active < cores else 1.0
+            self._uncapped_seconds += dt
+            self._uncapped_util_pow_seconds += utilization**UTILIZATION_EXPONENT * dt
+            if self.queue:
+                self._int_queue_len += len(self.queue) * dt
+            self._last_update = now
+        running = self.n_running + 1
+        self.n_running = running
+        if running > self._peak_running:
+            self._peak_running = running
+        active = self.active_cores + cpu_fraction
+        self.active_cores = active
         self.ram_gb_in_use += ram_gb
         self.ssd_gb_in_use += ssd_gb
-        duration = self.task_duration(work_seconds)
-        self.io_rate_bytes_per_s += data_bytes / duration
+        utilization = active / self._cores
+        if utilization > 1.0:
+            utilization = 1.0
+        cap = self.cap_watts
+        throttle = 1.0 if cap is None else power_model.throttle_factor(
+            self.sku, utilization, self._feature_enabled, cap
+        )
+        io_rate = self.io_rate_bytes_per_s
+        duration = (
+            work_seconds / (self._speed * throttle)
+            * (1.0 + self._beta * utilization)
+            * (1.0 + self._io_coeff * (io_rate / self._io_capacity))
+            * self.slowdown
+        )
+        self.io_rate_bytes_per_s = io_rate + data_bytes / duration
         return duration
 
     def finish_task(self, now: float, cpu_fraction: float, ram_gb: float,
                     ssd_gb: float, data_bytes: float, duration: float) -> None:
         """Release one container's resources and account its totals."""
-        self.advance(now)
+        dt = now - self._last_update
+        if dt > 0.0 and (self.faulted or self.cap_watts is not None):
+            self.advance(now)
+        elif dt > 0.0:
+            active = self.active_cores
+            cores = self._cores
+            self._int_active_cores += (active if active < cores else cores) * dt
+            self._int_containers += self.n_running * dt
+            self._int_io_bytes += self.io_rate_bytes_per_s * dt
+            self._int_ram += self.ram_gb_in_use * dt
+            self._int_ssd += self.ssd_gb_in_use * dt
+            utilization = active / cores if active < cores else 1.0
+            self._uncapped_seconds += dt
+            self._uncapped_util_pow_seconds += utilization**UTILIZATION_EXPONENT * dt
+            if self.queue:
+                self._int_queue_len += len(self.queue) * dt
+            self._last_update = now
         self.n_running -= 1
         # Clamped at the idle baseline against float drift; conditionals
         # rather than max() because this runs once per task.

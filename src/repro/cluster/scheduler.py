@@ -31,6 +31,23 @@ from repro.workload.task import Task
 __all__ = ["YarnScheduler"]
 
 
+def _add(members: list[Machine], pos: dict[int, int], machine: Machine) -> None:
+    """Add ``machine`` to a swap-pop set (``members`` + its position map)."""
+    if machine.machine_id not in pos:
+        pos[machine.machine_id] = len(members)
+        members.append(machine)
+
+
+def _remove(members: list[Machine], pos: dict[int, int], machine: Machine) -> None:
+    """Drop ``machine`` from a swap-pop set: the last member takes its slot."""
+    index = pos.pop(machine.machine_id, None)
+    if index is not None:
+        last = members.pop()
+        if last.machine_id != machine.machine_id:
+            members[index] = last
+            pos[last.machine_id] = index
+
+
 class YarnScheduler:
     """Uniform-random placement with per-machine low-priority queues."""
 
@@ -49,7 +66,6 @@ class YarnScheduler:
         self._pos: dict[int, int] = {}
         self._queue_space: list[Machine] = []
         self._queue_pos: dict[int, int] = {}
-        self.placements = 0
         self.queued_placements = 0
         self.rebuild()
 
@@ -63,46 +79,12 @@ class YarnScheduler:
         self._queue_space = [m for m in self.cluster.machines if m.has_queue_space]
         self._queue_pos = {m.machine_id: i for i, m in enumerate(self._queue_space)}
 
-    def _add_available(self, machine: Machine) -> None:
-        if machine.machine_id in self._pos:
-            return
-        self._pos[machine.machine_id] = len(self._available)
-        self._available.append(machine)
-
-    def _remove_available(self, machine: Machine) -> None:
-        index = self._pos.pop(machine.machine_id, None)
-        if index is None:
-            return
-        last = self._available.pop()
-        if last.machine_id != machine.machine_id:
-            self._available[index] = last
-            self._pos[last.machine_id] = index
-
-    def _add_queue_space(self, machine: Machine) -> None:
-        if machine.machine_id in self._queue_pos:
-            return
-        self._queue_pos[machine.machine_id] = len(self._queue_space)
-        self._queue_space.append(machine)
-
-    def _remove_queue_space(self, machine: Machine) -> None:
-        index = self._queue_pos.pop(machine.machine_id, None)
-        if index is None:
-            return
-        last = self._queue_space.pop()
-        if last.machine_id != machine.machine_id:
-            self._queue_space[index] = last
-            self._queue_pos[last.machine_id] = index
-
     def refresh_machine(self, machine: Machine) -> None:
         """Re-evaluate one machine's set memberships (after limit/queue change)."""
-        if machine.has_free_slot:
-            self._add_available(machine)
-        else:
-            self._remove_available(machine)
-        if machine.has_queue_space:
-            self._add_queue_space(machine)
-        else:
-            self._remove_queue_space(machine)
+        (_add if machine.has_free_slot else _remove)(self._available, self._pos, machine)
+        (_add if machine.has_queue_space else _remove)(
+            self._queue_space, self._queue_pos, machine
+        )
 
     @property
     def free_slot_machines(self) -> int:
@@ -128,17 +110,29 @@ class YarnScheduler:
         Returns the machine the caller must start ``task`` on, or None when
         every slot was busy and ``task`` went into a random machine's queue
         (``waited`` backdates that enqueue: see :meth:`Machine.enqueue`).
+        A machine whose last free slot this start takes leaves the free-slot
+        set here, so the caller must start ``task`` before placing again.
         Raises :class:`SchedulingError` when the scheduler is
         :attr:`saturated`; callers check that first.
         """
-        self.placements += 1
         available = self._available
-        if available:
-            return available[self._rng.randrange(len(available))]
+        n = len(available)
+        if n:
+            # randrange(n) unrolled: _randbelow_with_getrandbits's rejection
+            # loop over the bound getrandbits, so the stream is identical.
+            rng = self._rng
+            k = n.bit_length()
+            r = rng.getrandbits(k)
+            while r >= n:
+                r = rng.getrandbits(k)
+            machine = available[r]
+            if machine.n_running + 1 >= machine.max_running_containers:
+                _remove(available, self._pos, machine)
+            return machine
         machine = self._pick_queue_machine()
         machine.enqueue(now, task, waited)
         if not machine.has_queue_space:
-            self._remove_queue_space(machine)
+            _remove(self._queue_space, self._queue_pos, machine)
         self.queued_placements += 1
         return None
 
@@ -160,8 +154,3 @@ class YarnScheduler:
         return self._queue_space[
             self._fallback_rng.randrange(len(self._queue_space))
         ]
-
-    def note_started(self, machine: Machine) -> None:
-        """Bookkeeping after a container actually starts on ``machine``."""
-        if not machine.has_free_slot:
-            self._remove_available(machine)

@@ -34,7 +34,6 @@ named :class:`~repro.utils.rng.RngStreams`).
 from __future__ import annotations
 
 import heapq
-import itertools
 import random
 from collections import deque
 from collections.abc import Callable, Iterable
@@ -212,8 +211,7 @@ class ClusterSimulator:
         self.result = SimulationResult(task_log=TaskLog(self.config.task_log_sample_rate))
         self.now = 0.0
         self._heap: list[tuple[float, int, int, object]] = []
-        self._seq = itertools.count()
-        self._job_ids = itertools.count()
+        self._seq = 0  # sequence number of the next event pushed
         self._stage_rng = self.streams.get("stages")
         self._log_rng = random.Random(
             self.streams.get("tasklog-seed").integers(0, 2**31).item()
@@ -284,16 +282,17 @@ class ClusterSimulator:
         the cluster is saturated again.
         """
         scheduler = self.scheduler
+        now = self.now
         for machine in machines:
-            while machine.has_free_slot and machine.queue:
-                task, wait = machine.dequeue(self.now)
-                self._start_on(machine, task, wait)
+            while machine.queue and machine.has_free_slot:
+                task, task.carried_wait = machine.dequeue(now)
+                self._place((task,), machine)
             scheduler.refresh_machine(machine)
         pending = self.rm_pending
         while pending and not scheduler.saturated:
             task, deferred_at = pending.popleft()
-            task.carried_wait += self.now - deferred_at
-            self._place(task)
+            task.carried_wait += now - deferred_at
+            self._place((task,))
 
     def run(self, duration_hours: float) -> SimulationResult:
         """Simulate ``duration_hours`` hours and return the collected telemetry."""
@@ -312,14 +311,14 @@ class ClusterSimulator:
         if arrivals and arrivals[0].time < horizon:
             self._push(arrivals[0].time, _ARRIVAL, arrivals[0].template)
 
-        heap = self._heap
+        heap, heappop = self._heap, heapq.heappop
         profile = self.result.profile
         profiling = (
             current_tracer().enabled if self._profile is None else self._profile
         )
         self._profiling = profiling
         while heap:
-            time, kind, seq, payload = heapq.heappop(heap)
+            time, kind, seq, payload = heappop(heap)
             if time > horizon:
                 # Put it back: at the horizon the heap still holds every
                 # running task's FINISH.
@@ -329,7 +328,21 @@ class ClusterSimulator:
             # repro: allow[REP001] obs-gated profiling: attribution only, never enters simulation state
             tick = perf_counter() if profiling else 0.0
             if kind == _FINISH:
-                self._handle_finish(payload, seq)
+                # Inline: once per task. An entry whose seq is not the task's
+                # finish_seq was cancelled by a crash (the task was requeued).
+                if payload.finish_seq == seq:
+                    machine, job, duration = payload.machine, payload.job, payload.duration
+                    # Only a machine at its slot limit or with a queue can
+                    # change its scheduler-set membership by finishing a task.
+                    refresh = machine.n_running >= machine.max_running_containers or machine.queue
+                    machine.finish_task(
+                        time, payload.cpu_fraction, payload.ram_gb, payload.ssd_gb,
+                        payload.data_bytes, duration,
+                    )
+                    if job.on_task_finish(time, duration, payload.log_row):
+                        self._finish_stage(job)
+                    if refresh:
+                        self.capacity_changed((machine,))
             elif kind == _ARRIVAL:
                 self._handle_arrival(payload)
                 arrival_index += 1
@@ -377,125 +390,114 @@ class ClusterSimulator:
     # ------------------------------------------------------------------
     # Event plumbing
     # ------------------------------------------------------------------
-    def _push(self, time: float, kind: int, payload: object) -> int:
-        """Schedule an event; returns its sequence number."""
-        seq = next(self._seq)
+    def _push(self, time: float, kind: int, payload: object) -> None:
+        """Schedule an event."""
+        seq = self._seq
+        self._seq = seq + 1
         heapq.heappush(self._heap, (time, kind, seq, payload))
-        return seq
 
     def _handle_arrival(self, template) -> None:
-        job = JobRuntime(
-            job_id=next(self._job_ids),
-            template=template,
-            submit_time=self.now,
-            rng=self._stage_rng,
-        )
+        job = JobRuntime(self.result.jobs_submitted, template, self.now, self._stage_rng)
         self.result.jobs_submitted += 1
-        self._start_stage(job)
+        self._place(job.start_next_stage(self._stage_rng))
 
-    def _start_stage(self, job: JobRuntime) -> None:
-        for task in job.start_next_stage(self._stage_rng):
-            self._place(task)
+    def _place(self, tasks: Iterable[Task], host: Machine | None = None) -> None:
+        """The one placement loop: start, queue or defer each task in order.
 
-    def _place(self, task: Task) -> None:
-        if self.scheduler.saturated:
-            # No slot and no queue space anywhere: the RM holds the task,
-            # with no event, until capacity_changed serves it.
-            self.result.tasks_deferred += 1
-            self.rm_pending.append((task, self.now))
-            return
-        profiling = self._profiling
-        if profiling:
-            # repro: allow[REP001] obs-gated profiling: attribution only, never enters simulation state
-            tick = perf_counter()
-        wait = task.carried_wait
-        machine = self.scheduler.place(task, self.now, wait)
-        if profiling:
-            self._note_placement(tick)
-        if wait > 0.0:
-            # The wait was served RM-pending or on a machine that died, and
-            # is now joined into this placement: a queued task's enqueue is
-            # backdated by it, and a started task samples it on the machine
-            # that runs it so frame telemetry sees the end-to-end figure.
-            task.carried_wait = 0.0
-            if machine is not None:
-                machine.note_carried_wait(wait)
-        if machine is None:
-            self.result.tasks_queued += 1
-        else:
-            self._start_on(machine, task, wait)
-            self.scheduler.note_started(machine)
-
-    def _note_placement(self, tick: float) -> None:
-        profile = self.result.profile
-        # repro: allow[REP001] obs-gated profiling: attribution only, never enters simulation state
-        profile.placement_seconds += perf_counter() - tick
-        profile.placements += 1
-
-    def _start_on(self, machine: Machine, task: Task, queue_wait: float) -> None:
+        Without ``host`` each task starts on a uniformly drawn free machine,
+        joins a random machine's queue, or, when no machine has either,
+        joins the RM-pending FIFO with no event. With ``host`` the tasks were
+        just dequeued from it (the wait in ``carried_wait``) and start there.
+        """
         now = self.now
-        duration = machine.start_task(
-            now, task.cpu_fraction, task.ram_gb, task.ssd_gb, task.data_bytes,
-            task.work_seconds,
-        )
         result = self.result
-        result.tasks_started += 1
-        log_row = -1
-        rate = result.task_log.sample_rate
-        if rate > 0.0 and (rate >= 1.0 or self._log_rng.random() < rate):
-            log_row = result.task_log.append(
-                sku=machine.sku.name,
-                software=machine.software.name,
-                rack=machine.rack,
-                op=task.operator,
-                duration=duration,
-                data_bytes=task.data_bytes,
-                cpu_seconds=task.cpu_fraction * duration,
-                start=now,
-                queue_wait=queue_wait,
-                job_template=task.job.template.name,
+        scheduler = self.scheduler
+        place = scheduler.place
+        # The scheduler's membership lists, read in place: checking
+        # ``saturated`` per task would cost a call per task.
+        free, queue_space = scheduler._available, scheduler._queue_space
+        heap, heappush = self._heap, heapq.heappush
+        seq = self._seq
+        task_log = result.task_log
+        rate = task_log.sample_rate
+        profiling, profile = self._profiling, result.profile
+        started = 0
+        for task in tasks:
+            wait = task.carried_wait
+            machine = host
+            if machine is None:
+                if not free and not queue_space:
+                    result.tasks_deferred += 1
+                    self.rm_pending.append((task, now))
+                    continue
+                if profiling:
+                    # repro: allow[REP001] obs-gated profiling: attribution only, never enters simulation state
+                    tick = perf_counter()
+                machine = place(task, now, wait)
+                if profiling:
+                    # repro: allow[REP001] obs-gated profiling: attribution only, never enters simulation state
+                    profile.placement_seconds += perf_counter() - tick
+                    profile.placements += 1
+                if machine is None:
+                    # A queued task's enqueue is backdated by its carried wait.
+                    task.carried_wait = 0.0
+                    result.tasks_queued += 1
+                    continue
+                if wait > 0.0:
+                    # The wait was served RM-pending or on a machine that
+                    # died; the machine that runs the task samples it, so
+                    # frame telemetry sees the end-to-end figure.
+                    machine.note_carried_wait(wait)
+            if wait > 0.0:
+                task.carried_wait = 0.0
+            duration = machine.start_task(
+                now, task.cpu_fraction, task.ram_gb, task.ssd_gb, task.data_bytes,
+                task.work_seconds,
             )
-        task.machine = machine
-        task.duration = duration
-        task.log_row = log_row
-        task.finish_seq = self._push(now + duration, _FINISH, task)
-
-    def _handle_finish(self, task: Task, seq: int) -> None:
-        if task.finish_seq != seq:
-            # A crash cancelled this entry: the task was requeued and owns a
-            # newer FINISH entry (or is still waiting for one).
-            return
-        machine, job, duration = task.machine, task.job, task.duration
-        # Only a machine at its slot limit or with a queue can change its
-        # scheduler-set membership by finishing a task.
-        refresh = (
-            machine.n_running >= machine.max_running_containers or machine.queue
-        )
-        machine.finish_task(
-            self.now, task.cpu_fraction, task.ram_gb, task.ssd_gb,
-            task.data_bytes, duration,
-        )
-        if job.on_task_finish(self.now, duration, task.log_row):
-            if job.last_finish_log_row >= 0:
-                self.result.task_log.mark_critical(job.last_finish_log_row)
-            if job.has_next_stage:
-                self._start_stage(job)
-            else:
-                job.finished = True
-                self.result.jobs_completed += 1
-                self.result.jobs.append(
-                    JobRecord(
-                        job_id=job.job_id,
-                        template=job.template.name,
-                        submit_time=job.submit_time,
-                        finish_time=self.now,
-                        n_tasks=job.n_tasks_total,
-                        total_task_seconds=job.total_task_seconds,
-                        is_benchmark=job.template.is_benchmark,
-                    )
+            started += 1
+            log_row = -1
+            if rate > 0.0 and (rate >= 1.0 or self._log_rng.random() < rate):
+                log_row = task_log.append(
+                    sku=machine.sku.name,
+                    software=machine.software.name,
+                    rack=machine.rack,
+                    op=task.operator,
+                    duration=duration,
+                    data_bytes=task.data_bytes,
+                    cpu_seconds=task.cpu_fraction * duration,
+                    start=now,
+                    queue_wait=wait,
+                    job_template=task.job.template.name,
                 )
-        if refresh:
-            self.capacity_changed((machine,))
+            task.machine = machine
+            task.duration = duration
+            task.log_row = log_row
+            task.finish_seq = seq
+            heappush(heap, (now + duration, _FINISH, seq, task))
+            seq += 1
+        self._seq = seq
+        result.tasks_started += started
+
+    def _finish_stage(self, job: JobRuntime) -> None:
+        """A stage's last task finished: start the next stage or close the job."""
+        if job.last_finish_log_row >= 0:
+            self.result.task_log.mark_critical(job.last_finish_log_row)
+        if job.has_next_stage:
+            self._place(job.start_next_stage(self._stage_rng))
+        else:
+            job.finished = True
+            self.result.jobs_completed += 1
+            self.result.jobs.append(
+                JobRecord(
+                    job_id=job.job_id,
+                    template=job.template.name,
+                    submit_time=job.submit_time,
+                    finish_time=self.now,
+                    n_tasks=job.n_tasks_total,
+                    total_task_seconds=job.total_task_seconds,
+                    is_benchmark=job.template.is_benchmark,
+                )
+            )
 
     # ------------------------------------------------------------------
     # Fault handling
@@ -525,8 +527,7 @@ class ClusterSimulator:
         # refresh evicts the machine from both scheduler sets.
         self.scheduler.refresh_machine(machine)
         self.result.tasks_requeued += len(displaced)
-        for task in displaced:
-            self._place(task)
+        self._place(displaced)
 
     def _handle_recover(self, machine: Machine) -> None:
         if not machine.faulted:

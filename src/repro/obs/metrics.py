@@ -11,15 +11,23 @@ samples, so a long-running service cannot grow memory with traffic. The
 module-global :data:`OPS_METRICS` registry is what the instrumented modules
 write to; tests and dashboards either read it or swap in a private
 :class:`MetricsRegistry`.
+
+``submit()`` drives shards from threads, so one module lock guards every
+registry's get-or-create and every metric update (reset in forked workers).
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 
 from repro.utils.tables import TextTable
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "OPS_METRICS"]
+
+_LOCK = threading.Lock()
+os.register_at_fork(after_in_child=_LOCK._at_fork_reinit)
 
 
 def _labeled(name: str, labels: dict[str, str]) -> str:
@@ -41,7 +49,8 @@ class Counter:
         """Add ``amount`` (must be >= 0) to the counter."""
         if amount < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease (inc {amount})")
-        self.value += amount
+        with _LOCK:
+            self.value += amount
 
 
 @dataclass(slots=True)
@@ -57,7 +66,8 @@ class Gauge:
 
     def add(self, amount: float) -> None:
         """Shift the gauge by ``amount`` (may be negative)."""
-        self.value += amount
+        with _LOCK:
+            self.value += amount
 
 
 @dataclass(slots=True)
@@ -77,12 +87,13 @@ class Histogram:
     def observe(self, value: float) -> None:
         """Record one observation."""
         value = float(value)
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
+        with _LOCK:
+            self.count += 1
+            self.total += value
+            if value < self.min:
+                self.min = value
+            if value > self.max:
+                self.max = value
 
     @property
     def mean(self) -> float:
@@ -104,11 +115,11 @@ class MetricsRegistry:
 
     def _get_or_create(self, cls, name: str, labels: dict[str, str]):
         key = _labeled(name, labels)
-        metric = self._metrics.get(key)
-        if metric is None:
-            metric = cls(name=key)
-            self._metrics[key] = metric
-        elif not isinstance(metric, cls):
+        with _LOCK:
+            metric = self._metrics.get(key)
+            if metric is None:
+                metric = self._metrics[key] = cls(name=key)
+        if not isinstance(metric, cls):
             raise TypeError(
                 f"metric {key!r} already registered as {type(metric).__name__}, "
                 f"not {cls.__name__}"
@@ -133,7 +144,8 @@ class MetricsRegistry:
 
     def names(self) -> list[str]:
         """Sorted registry keys (``name{labels}`` form)."""
-        return sorted(self._metrics)
+        with _LOCK:
+            return sorted(self._metrics)
 
     def snapshot(self) -> dict[str, dict[str, float]]:
         """Plain-dict dump of every metric, keyed by registry key."""
@@ -170,7 +182,8 @@ class MetricsRegistry:
 
     def clear(self) -> None:
         """Drop every metric (tests; a fresh service run)."""
-        self._metrics.clear()
+        with _LOCK:
+            self._metrics.clear()
 
 
 #: The process-wide registry instrumented service modules write to.

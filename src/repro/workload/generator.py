@@ -73,7 +73,12 @@ class WorkloadGenerator:
         self.streams = streams if streams is not None else RngStreams(0)
         self.benchmark_period_hours = benchmark_period_hours
         weights = np.array([t.weight for t in self.templates], dtype=float)
-        self._probs = weights / weights.sum()
+        # The CDF ``rng.choice(n, p=weights / weights.sum())`` rebuilds on
+        # every call; ``generate`` inverts it with the same uniform draw and
+        # the same search, so the stream and the picks are unchanged.
+        cdf = (weights / weights.sum()).cumsum()
+        cdf /= cdf[-1]
+        self._cdf = cdf
 
     def generate(self, duration_hours: float) -> Workload:
         """Materialize all arrivals in ``[0, duration_hours)``."""
@@ -97,7 +102,8 @@ class WorkloadGenerator:
                 / max_rate
             )
             if rng.random() < accept_prob:
-                template = self.templates[int(rng.choice(len(self.templates), p=self._probs))]
+                pick = self._cdf.searchsorted(rng.random(), side="right")
+                template = self.templates[int(pick)]
                 arrivals.append(JobArrival(time=t, template=template))
 
         # Deterministic benchmark cadence (staggered to avoid self-interference).

@@ -75,18 +75,18 @@ class JobRuntime:
         work, data, ram, ssd = sample_task_params(
             op, n_tasks, rng, work_scale=spec.work_scale, data_scale=spec.data_scale
         )
-        # Task parameters are validated here, once per stage (NaN fails the
-        # comparisons too); ``cpu_fraction`` is checked by OperatorSpec.
-        if not (work > 0.0).all():
+        work, data = work.tolist(), data.tolist()
+        # Task parameters are validated here, once per stage, on the lists
+        # (NaN fails the comparisons too); ``cpu_fraction`` is checked by
+        # OperatorSpec.
+        if not all(map((0.0).__lt__, work)):
             raise ValueError(f"{op.name}: work_seconds must be positive")
-        if not (data >= 0.0).all():
+        if not all(map((0.0).__le__, data)):
             raise ValueError(f"{op.name}: data_bytes must be non-negative")
         name, cpu = op.name, op.cpu_fraction
         tasks = [
             Task(self, name, w, d, cpu, r, s)
-            for w, d, r, s in zip(
-                work.tolist(), data.tolist(), ram.tolist(), ssd.tolist(), strict=True
-            )
+            for w, d, r, s in zip(work, data, ram.tolist(), ssd.tolist(), strict=True)
         ]
         self.remaining_in_stage = n_tasks
         self.n_tasks_total += n_tasks

@@ -9,6 +9,8 @@ ride on the outcome without entering cache keys.
 
 import itertools
 import pickle
+import sys
+import threading
 
 import pytest
 
@@ -259,6 +261,39 @@ class TestOpsMetrics:
         assert "beats" in text and "histogram" in text
         registry.clear()
         assert registry.names() == []
+
+    def test_concurrent_updates_lose_nothing(self):
+        """Shards update metrics from threads: get-or-create and every update
+        must be atomic, or racing threads lose counts (a thread still holding
+        a metric another thread replaced updates an orphan)."""
+        threads, keys = 16, 3000
+
+        def work(registry, start):
+            start.wait(timeout=60)
+            for k in range(keys):
+                registry.counter("shard.beats", shard=str(k)).inc()
+                registry.histogram("shard.seconds").observe(1.0)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for _ in range(3):
+                registry = MetricsRegistry()
+                start = threading.Barrier(threads)
+                pool = [
+                    threading.Thread(target=work, args=(registry, start))
+                    for _ in range(threads)
+                ]
+                for thread in pool:
+                    thread.start()
+                for thread in pool:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in pool)
+                counted = [registry.get("shard.beats", shard=str(k)).value for k in range(keys)]
+                assert counted == [float(threads)] * keys
+                assert registry.histogram("shard.seconds").count == threads * keys
+        finally:
+            sys.setswitchinterval(old_interval)
 
 
 # ----------------------------------------------------------------------

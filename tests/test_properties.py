@@ -197,6 +197,52 @@ class TestTaskDurationProperties:
         loaded = machine.task_duration(work)
         assert loaded >= baseline - 1e-9
 
+    @given(
+        sku=st.sampled_from(DEFAULT_SKUS),
+        software=st.sampled_from([SC1, SC2]),
+        cap_level=st.one_of(st.none(), st.floats(min_value=0.0, max_value=0.6)),
+        feature=st.booleans(),
+        slowdown=st.one_of(st.just(1.0), st.floats(min_value=0.5, max_value=4.0)),
+        running=st.lists(
+            st.tuples(
+                st.floats(min_value=0.05, max_value=1.0),  # cpu_fraction
+                st.floats(min_value=0.0, max_value=5e9),  # data_bytes
+                st.floats(min_value=1.0, max_value=2000.0),  # work_seconds
+            ),
+            max_size=40,
+        ),
+        cpu=st.floats(min_value=0.05, max_value=1.0),
+        data=st.floats(min_value=0.0, max_value=5e9),
+        work=st.floats(min_value=0.01, max_value=5000.0),
+    )
+    @settings(max_examples=150)
+    def test_start_task_duration_is_task_duration_bit_for_bit(
+        self, sku, software, cap_level, feature, slowdown, running, cpu, data, work
+    ):
+        """``start_task`` computes the duration inline; it must be exactly
+        ``task_duration`` on the same machine state after admission."""
+
+        def machine():
+            m = Machine(
+                machine_id=0, sku=sku, software=software, rack=0, chassis=0, row=0,
+                subcluster=0, limits=GroupLimits(max_running_containers=100),
+            )
+            m.feature_enabled = feature
+            m.slowdown = slowdown
+            if cap_level is not None:
+                m.cap_watts = sku.provisioned_power_watts * (1.0 - cap_level)
+            for i, (c, d, w) in enumerate(running):
+                m.start_task(float(i), c, 1.0, 5.0, d, w)
+            return m
+
+        started, twin = machine(), machine()
+        now = float(len(running))
+        duration = started.start_task(now, cpu, 1.0, 5.0, data, work)
+        twin.advance(now)
+        twin.active_cores += cpu  # the admission state task_duration reads
+        assert duration == twin.task_duration(work)
+        assert started.io_rate_bytes_per_s == twin.io_rate_bytes_per_s + data / duration
+
 
 _selectors = st.one_of(
     st.builds(MachineSelector, subcluster=st.integers(min_value=0, max_value=2)),
@@ -233,11 +279,15 @@ _fault_plans = st.builds(
 )
 
 
-def _run_conserving(plan, jobs_per_hour, max_running, max_queued, seed, actions=()):
+def _run_conserving(
+    plan, jobs_per_hour, max_running, max_queued, seed, actions=(), timeline=None
+):
     """Simulate 2 h under ``plan`` and assert task conservation.
 
     Every task of an unfinished job's current stage is exactly one of: a live
-    FINISH entry, in a machine queue, or in the RM-pending FIFO.
+    FINISH entry, in a machine queue, or in the RM-pending FIFO. A
+    ``timeline`` dict, when given, is filled with ``job_id -> (stage start
+    times, finish times per stage)``.
     """
     hours = 2.0
     config = YarnConfig(
@@ -261,10 +311,16 @@ def _run_conserving(plan, jobs_per_hour, max_running, max_queued, seed, actions=
 
     def recording_start(job, rng):
         jobs[job.job_id] = job
+        if timeline is not None:
+            starts, stage_finishes = timeline.setdefault(job.job_id, ([], []))
+            starts.append(simulator.now)
+            stage_finishes.append([])
         return start_next_stage(job, rng)
 
     def counting_finish(job, finish_time, duration, log_row):
         finishes[job.job_id] += 1
+        if timeline is not None:
+            timeline[job.job_id][1][job.current_stage].append(finish_time)
         return on_task_finish(job, finish_time, duration, log_row)
 
     with (
@@ -293,6 +349,18 @@ def _run_conserving(plan, jobs_per_hour, max_running, max_queued, seed, actions=
             stage_size = job.n_tasks_total - finishes[job_id]
             assert stage_size == job.remaining_in_stage
     return result
+
+
+def _assert_stage_order(timeline):
+    """No stage starts before the previous stage's last FINISH, and no task
+    finishes before its own stage started."""
+    assert timeline
+    for starts, stage_finishes in timeline.values():
+        for stage, (start, finished) in enumerate(zip(starts, stage_finishes, strict=True)):
+            assert all(time >= start for time in finished)
+            if stage > 0:
+                previous = stage_finishes[stage - 1]
+                assert previous and start >= max(previous)
 
 
 class TestSimulatorConservation:
@@ -331,6 +399,37 @@ class TestSimulatorConservation:
             <= frame.column("max_running_containers")
         )
         assert np.all(frame.column("faulted")[available < 1.0])
+
+    @given(
+        plan=_fault_plans,
+        jobs_per_hour=st.floats(min_value=60.0, max_value=400.0),
+        max_running=st.integers(min_value=2, max_value=6),
+        max_queued=st.integers(min_value=0, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_stages_run_in_order_through_crash_requeues(
+        self, plan, jobs_per_hour, max_running, max_queued, seed
+    ):
+        """Stage barrier: no stage starts before the previous stage's last
+        FINISH, and no task finishes before its stage started, including
+        tasks a crash requeued."""
+        timeline: dict[int, tuple[list[float], list[list[float]]]] = {}
+        _run_conserving(plan, jobs_per_hour, max_running, max_queued, seed, timeline=timeline)
+        _assert_stage_order(timeline)
+
+    def test_stage_order_holds_for_tasks_a_crash_requeued(self):
+        plan = FaultPlan(
+            outages=(
+                OutageSpec(
+                    at_hour=0.4, duration_hours=0.5, selector=MachineSelector(subcluster=0)
+                ),
+            )
+        )
+        timeline: dict[int, tuple[list[float], list[list[float]]]] = {}
+        result = _run_conserving(plan, 300.0, 3, 2, seed=11, timeline=timeline)
+        assert result.tasks_requeued > 0
+        _assert_stage_order(timeline)
 
     def test_recover_serves_work_left_pending_by_a_fleet_wide_crash(self):
         """Every machine dies at 0.5 h on a choked fleet and returns at 0.75 h.

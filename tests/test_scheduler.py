@@ -1,6 +1,7 @@
 """Tests for the YARN-like scheduler: placement, slot tracking, queueing."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -63,7 +64,6 @@ class TestPlacement:
             machine = scheduler.place(make_task(), now=0.0)
             assert machine is not None
             machine.start_task(0.0, 0.8, 2.0, 10.0, 1e9, 100.0)
-            scheduler.note_started(machine)
         assert scheduler.free_slot_machines == 0
 
     def test_saturated_cluster_queues(self):
@@ -72,7 +72,6 @@ class TestPlacement:
         for _ in range(len(cluster.machines)):
             machine = scheduler.place(make_task(), now=0.0)
             machine.start_task(0.0, 0.8, 2.0, 10.0, 1e9, 100.0)
-            scheduler.note_started(machine)
         assert not scheduler.saturated  # no free slot, but queue space
         overflow = make_task()
         assert scheduler.place(overflow, now=0.0) is None
@@ -85,7 +84,6 @@ class TestPlacement:
         for _ in range(len(cluster.machines)):
             machine = scheduler.place(make_task(), now=0.0)
             machine.start_task(0.0, 0.8, 2.0, 10.0, 1e9, 100.0)
-            scheduler.note_started(machine)
         assert scheduler.saturated
         with pytest.raises(SchedulingError):
             scheduler.place(make_task(), now=0.0)
@@ -97,7 +95,8 @@ class TestSlotSetMaintenance:
         scheduler = YarnScheduler(cluster, seed=1)
         machine = cluster.machines[0]
         machine.start_task(0.0, 0.8, 2.0, 10.0, 1e9, 100.0)
-        scheduler.note_started(machine)
+        scheduler.refresh_machine(machine)
+        assert machine.machine_id not in scheduler._pos
         machine.apply_limits(GroupLimits(max_running_containers=4))
         scheduler.refresh_machine(machine)
         assert scheduler.free_slot_machines == len(cluster.machines)
@@ -135,7 +134,6 @@ def saturate(cluster, scheduler):
         machine = scheduler.place(make_task(), now=0.0)
         assert machine is not None
         machine.start_task(0.0, 0.8, 2.0, 10.0, 1e9, 100.0)
-        scheduler.note_started(machine)
 
 
 class TestQueueSpaceSet:
@@ -220,3 +218,48 @@ class TestQueueSpaceSet:
                 fallback_fired += 1
             assert scheduler._rng.getstate() == clone.getstate()
         assert fallback_fired > 0  # the O(1) fallback was actually exercised
+
+
+class _StubMachine:
+    """Just enough of a machine for the scheduler's free-slot draw."""
+
+    def __init__(self, machine_id):
+        self.machine_id = machine_id
+        self.n_running = 0
+        self.max_running_containers = 1_000_000
+        self.has_free_slot = True
+        self.has_queue_space = True
+
+
+class TestUniformDraw:
+    """``place`` unrolls ``randrange(n)`` into a rejection loop over
+    ``getrandbits``; every digest depends on that stream staying identical."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 17, 2**31 - 1])
+    def test_draw_matches_randrange_for_every_set_size(self, seed):
+        machines = [_StubMachine(i) for i in range(4096)]
+        scheduler = YarnScheduler(SimpleNamespace(machines=machines), seed=seed)
+        reference = random.Random(seed)
+        task = make_task()
+        # One continuous stream across every n in 1..4096 (n = 1 and every
+        # power of two included), so a rejection that consumed a different
+        # number of bits would shift every later draw.
+        for n in range(1, 4097):
+            scheduler._available = machines[:n]
+            for _ in range(3):
+                picked = scheduler.place(task, now=0.0)
+                assert picked.machine_id == reference.randrange(n)
+        assert scheduler._rng.getstate() == reference.getstate()
+
+    def test_place_drops_a_machine_whose_last_slot_it_hands_out(self):
+        cluster = tiny_cluster(max_containers=2)
+        scheduler = YarnScheduler(cluster, seed=4)
+        machine = scheduler.place(make_task(), now=0.0)
+        assert machine.machine_id in scheduler._pos  # its second slot is free
+        machine.start_task(0.0, 0.8, 2.0, 10.0, 1e9, 100.0)
+        while scheduler.place(make_task(), now=0.0) is not machine:
+            pass
+        # That placement handed out the last slot: the machine left the
+        # free-slot set before the caller started the task.
+        assert machine.machine_id not in scheduler._pos
+        assert machine.n_running == 1

@@ -4,6 +4,9 @@ These rely on the session-scoped small simulation plus a few dedicated short
 runs for properties that need special setups (actions, determinism).
 """
 
+import cProfile
+import pstats
+
 import numpy as np
 import pytest
 
@@ -274,3 +277,30 @@ class TestBackpressure:
         waits = np.sort(result.frame.waits_flat())
         expected = np.sort([log.start[row] for row in deferred])
         np.testing.assert_allclose(waits, expected)
+
+
+class TestCallBudget:
+    """The per-task path has a fixed Python call budget (ROADMAP item 2).
+
+    Calls per started task under :mod:`cProfile` (builtins included) are
+    deterministic for a given interpreter, so this holds on any host. On
+    this window (36 machines, 2 h, 150 jobs/h, 5,609 tasks started) the
+    simulator made 158,109 calls, 28.2 per task, before the per-task path
+    was inlined (one placement loop per stage, inlined machine transitions
+    and FINISH handling); it makes 13.9. Check a regression with
+    ``benchmarks/calls_per_task.py``, which prints the top callers.
+    """
+
+    BUDGET = 14.0
+
+    def test_calls_per_started_task_within_budget(self):
+        _, simulator, _ = quick_sim(hours=2.0)
+        profiler = cProfile.Profile()
+        profiler.enable()
+        try:
+            result = simulator.run(2.0)
+        finally:
+            profiler.disable()
+        calls = pstats.Stats(profiler).total_calls
+        assert result.tasks_started > 5000
+        assert calls / result.tasks_started <= self.BUDGET

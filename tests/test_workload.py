@@ -201,6 +201,30 @@ class TestGenerator:
         assert [x.time for x in a] == [x.time for x in b]
         assert [x.template.name for x in a] == [x.template.name for x in b]
 
+    @pytest.mark.parametrize("seed", [0, 7, 2021])
+    def test_template_draw_matches_numpy_choice(self, seed):
+        """``generate`` inverts the template CDF itself; it must pick exactly
+        what ``rng.choice(n, p=probs)`` picks from the same stream."""
+        templates = default_templates()
+        profile = SeasonalityProfile()
+        workload = WorkloadGenerator(
+            templates, jobs_per_hour=500.0, seasonality=profile, streams=RngStreams(seed)
+        ).generate(6.0)
+
+        # Reference: the thinning loop drawing templates with numpy's choice.
+        rng = RngStreams(seed).get("arrivals")
+        weights = np.array([t.weight for t in templates])
+        probs = weights / weights.sum()
+        max_rate = 500.0 * profile.max_multiplier / 3600.0
+        expected, t = [], 0.0
+        while True:
+            t += rng.exponential(1.0 / max_rate)
+            if t >= 6.0 * 3600.0:
+                break
+            if rng.random() < 500.0 * profile.multiplier(t) / 3600.0 / max_rate:
+                expected.append((t, templates[int(rng.choice(len(templates), p=probs))].name))
+        assert [(a.time, a.template.name) for a in workload] == expected
+
     def test_seasonal_rate_modulation(self):
         profile = SeasonalityProfile(diurnal_amplitude=0.5, weekend_dip=0.0,
                                      peak_hour=12.0)
