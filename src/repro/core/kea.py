@@ -62,6 +62,7 @@ from repro.obs.profile import attach_profile_spans
 from repro.obs.trace import current_tracer
 from repro.flighting.safety import GateVerdict, SafetyGate
 from repro.stats.treatment import TreatmentEffect, paired_effect
+from repro.telemetry.frame import MachineHourFrame
 from repro.telemetry.monitor import PerformanceMonitor
 from repro.utils.errors import ApplicationError, ConfigurationError
 from repro.utils.rng import RngStreams
@@ -71,11 +72,14 @@ from repro.workload.template import JobTemplate, default_templates
 
 __all__ = [
     "Observation",
+    "PairedWindow",
     "DeploymentImpact",
     "FlightValidation",
     "ApplicationRun",
     "StagedRollout",
     "Kea",
+    "pair_rollout",
+    "paired_impact",
 ]
 
 
@@ -87,6 +91,24 @@ class Observation:
     monitor: PerformanceMonitor
     result: SimulationResult
     days: float
+
+
+@dataclass
+class PairedWindow:
+    """One window of a paired before/after evaluation, as pairing reads it:
+    its telemetry, its benchmark jobs' runtimes per template and the
+    cluster's capacity. A rollout's treatment window also carries the wave
+    records (impacts attached) and the rollout's halt state. Any process
+    may simulate it."""
+
+    frame: MachineHourFrame
+    benchmark_runtimes: dict[str, list[float]]
+    capacity: int
+    waves: tuple[RolloutWaveRecord, ...] = ()
+    machines_touched: int = 0
+    completed: bool = False
+    reverted: bool = False
+    checkpoint: RolloutCheckpoint | None = None
 
 
 @dataclass
@@ -531,27 +553,15 @@ class Kea:
         under injected faults.
         """
         tag = workload_tag if workload_tag is not None else self._fresh_tag("deploy")
-        tracer = current_tracer()
-        with tracer.span("kea.deployment_impact", days=days, workload_tag=tag):
-            with tracer.span("window.before"):
-                before = self.simulate(
-                    days,
-                    config=self.current_config,
-                    benchmark_period_hours=benchmark_period_hours,
-                    workload_tag=tag,
-                    load_multiplier=load_multiplier,
-                    actions=actions,
-                )
-            with tracer.span("window.after"):
-                after = self.simulate(
-                    days,
-                    config=proposed,
-                    benchmark_period_hours=benchmark_period_hours,
-                    workload_tag=tag,
-                    load_multiplier=load_multiplier,
-                    actions=actions,
-                )
-        return _paired_impact(before, after)
+        window = dict(
+            benchmark_period_hours=benchmark_period_hours,
+            load_multiplier=load_multiplier,
+            actions=actions,
+        )
+        with current_tracer().span("kea.deployment_impact", days=days, workload_tag=tag):
+            before = self.paired_window("window.before", days, tag, **window)
+            after = self.paired_window("window.after", days, tag, config=proposed, **window)
+        return paired_impact(before, after)
 
     def staged_rollout(
         self,
@@ -592,7 +602,41 @@ class Kea:
         arrivals. ``actions`` (e.g. a scenario's fault plan) is applied to
         both the baseline and the rollout window, so a mid-rollout fault
         degrades the rollout's gates without biasing the paired impact.
+
+        The two windows are independent: the tuning service runs the same
+        two :meth:`paired_window` calls in separate worker processes and
+        pairs them with the same :func:`pair_rollout`.
         """
+        plan = self.rollout_plan(plan, policy, days=days, checkpoint=checkpoint)
+        tag = workload_tag if workload_tag is not None else self._fresh_tag("rollout")
+        window = dict(
+            benchmark_period_hours=benchmark_period_hours,
+            load_multiplier=load_multiplier,
+            actions=actions,
+        )
+        with current_tracer().span(
+            "kea.staged_rollout",
+            days=days,
+            workload_tag=tag,
+            resuming=checkpoint is not None,
+        ):
+            baseline = self.paired_window("window.baseline", days, tag, **window)
+            treatment = self.paired_window(
+                "window.rollout", days, tag, rollout=plan, gate=gate,
+                checkpoint=checkpoint, **window,
+            )
+        return pair_rollout(baseline, treatment)
+
+    def rollout_plan(
+        self,
+        plan: RolloutPlan | FlightPlan | dict[MachineGroupKey, int],
+        policy: RolloutPolicy | None = None,
+        days: float = 1.0,
+        checkpoint: RolloutCheckpoint | None = None,
+    ) -> RolloutPlan:
+        """Stage ``plan``, failing an invalid one (bad schedule, overlapping
+        selectors, empty selections, a resume without its checkpoint) before
+        any window is paid for."""
         if isinstance(plan, dict):
             plan = FlightPlan.from_container_deltas(plan)
         if isinstance(plan, FlightPlan):
@@ -604,60 +648,60 @@ class Kea:
             )
         if not plan:
             raise ConfigurationError("staged rollout needs a non-empty plan")
-        # Fail invalid plans (bad schedule, overlapping selectors, empty
-        # selections, a resume without its checkpoint) before paying for the
-        # baseline window.
         DeploymentModule.resolve_resume(plan, checkpoint)
         plan.validate(self.build_cluster())
         plan.policy.schedule(days * 24.0)
-        tag = workload_tag if workload_tag is not None else self._fresh_tag("rollout")
-        tracer = current_tracer()
-        with tracer.span(
-            "kea.staged_rollout",
-            days=days,
-            workload_tag=tag,
-            resuming=checkpoint is not None,
-        ):
-            with tracer.span("window.baseline"):
-                before = self.simulate(
-                    days,
-                    config=self.current_config,
-                    benchmark_period_hours=benchmark_period_hours,
-                    workload_tag=tag,
-                    load_multiplier=load_multiplier,
-                    actions=actions,
-                )
-            executions: list = []
+        return plan
 
-            def stage_waves(sim: ClusterSimulator) -> None:
-                if actions is not None:
-                    actions(sim)
-                module = DeploymentModule(sim.cluster)
+    def paired_window(
+        self,
+        span: str,
+        days: float,
+        workload_tag: str,
+        rollout: RolloutPlan | None = None,
+        gate: SafetyGate | None = None,
+        checkpoint: RolloutCheckpoint | None = None,
+        actions: Callable[[ClusterSimulator], None] | None = None,
+        **simulate,
+    ) -> PairedWindow:
+        """One side of a paired evaluation, traced as a ``span`` span: the
+        workload pinned to ``workload_tag``, simulated with the
+        :meth:`simulate` keywords (``config`` defaults to the current one),
+        with ``rollout``'s waves deployed in gated steps when given
+        (``rollout`` must have passed :meth:`rollout_plan`)."""
+        executions: list = []
+
+        def register(sim: ClusterSimulator) -> None:
+            if actions is not None:
+                actions(sim)
+            if rollout is not None:
                 executions.append(
-                    module.schedule(
-                        sim, plan, days * 24.0, gate=gate, checkpoint=checkpoint
+                    DeploymentModule(sim.cluster).schedule(
+                        sim, rollout, days * 24.0, gate=gate, checkpoint=checkpoint
                     )
                 )
 
-            with tracer.span("window.rollout"):
-                after = self.simulate(
-                    days,
-                    config=self.current_config,
-                    benchmark_period_hours=benchmark_period_hours,
-                    workload_tag=tag,
-                    load_multiplier=load_multiplier,
-                    actions=stage_waves,
-                )
-        execution = executions[0]
-        DeploymentModule.attach_wave_impacts(after.result.frame, execution)
-        return StagedRollout(
-            waves=tuple(execution.records),
-            impact=_paired_impact(before, after),
-            machines_touched=execution.machines_touched,
-            completed=execution.completed,
-            reverted=execution.reverted,
-            checkpoint=execution.checkpoint,
+        with current_tracer().span(span):
+            observation = self.simulate(
+                days,
+                workload_tag=workload_tag,
+                actions=register if rollout is not None else actions,
+                **simulate,
+            )
+        window = PairedWindow(
+            frame=observation.monitor.frame,
+            benchmark_runtimes=_benchmark_runtimes(observation),
+            capacity=observation.cluster.total_container_slots,
         )
+        if executions:
+            (execution,) = executions
+            DeploymentModule.attach_wave_impacts(window.frame, execution)
+            window.waves = tuple(execution.records)
+            window.machines_touched = execution.machines_touched
+            window.completed = execution.completed
+            window.reverted = execution.reverted
+            window.checkpoint = execution.checkpoint
+        return window
 
     def benchmark_impact(
         self,
@@ -675,28 +719,16 @@ class Kea:
         dominated by queueing noise, which is not what Figure 11 measures.
         """
         tag = workload_tag if workload_tag is not None else self._fresh_tag("bench")
-        before = self.simulate(
-            days,
-            config=self.current_config,
-            benchmark_period_hours=benchmark_period_hours,
-            workload_tag=tag,
-            load_multiplier=load_multiplier,
+        window = dict(
+            benchmark_period_hours=benchmark_period_hours, load_multiplier=load_multiplier
         )
-        after = self.simulate(
-            days,
-            config=proposed,
-            benchmark_period_hours=benchmark_period_hours,
-            workload_tag=tag,
-            load_multiplier=load_multiplier,
-        )
-        before_runs = _benchmark_runtimes(before)
-        after_runs = _benchmark_runtimes(after)
+        before = self.paired_window("window.before", days, tag, **window).benchmark_runtimes
+        after = self.paired_window(
+            "window.after", days, tag, config=proposed, **window
+        ).benchmark_runtimes
         return {
-            template: (
-                np.asarray(before_runs[template]),
-                np.asarray(after_runs[template]),
-            )
-            for template in sorted(set(before_runs) & set(after_runs))
+            template: (np.asarray(before[template]), np.asarray(after[template]))
+            for template in sorted(set(before) & set(after))
         }
 
     def adopt(self, config: YarnConfig) -> None:
@@ -738,18 +770,26 @@ def _pick_pilot_machines(
     return machines if len(machines) >= 2 else []
 
 
-def _paired_impact(before: Observation, after: Observation) -> DeploymentImpact:
+def pair_rollout(baseline: PairedWindow, treatment: PairedWindow) -> StagedRollout:
+    """A staged rollout's outcome from its two windows (the pure pairing step)."""
+    return StagedRollout(
+        waves=treatment.waves,
+        impact=paired_impact(baseline, treatment),
+        machines_touched=treatment.machines_touched,
+        completed=treatment.completed,
+        reverted=treatment.reverted,
+        checkpoint=treatment.checkpoint,
+    )
+
+
+def paired_impact(before: PairedWindow, after: PairedWindow) -> DeploymentImpact:
     """§5.2.2 treatment-effect evaluation of two identical-workload windows."""
+    before_days = PerformanceMonitor(before.frame).daily_aggregates()
+    after_days = PerformanceMonitor(after.frame).daily_aggregates()
 
     def paired_machine_day(field: str) -> tuple[np.ndarray, np.ndarray]:
-        before_vals = {
-            (a.machine_id, a.day): getattr(a, field)
-            for a in before.monitor.daily_aggregates()
-        }
-        after_vals = {
-            (a.machine_id, a.day): getattr(a, field)
-            for a in after.monitor.daily_aggregates()
-        }
+        before_vals = {(a.machine_id, a.day): getattr(a, field) for a in before_days}
+        after_vals = {(a.machine_id, a.day): getattr(a, field) for a in after_days}
         keys = sorted(set(before_vals) & set(after_vals))
         return (
             np.array([before_vals[k] for k in keys]),
@@ -760,8 +800,8 @@ def _paired_impact(before: Observation, after: Observation) -> DeploymentImpact:
     latency = paired_effect(*paired_machine_day("avg_task_seconds"))
 
     benchmark_change: dict[str, float] = {}
-    before_bench = _benchmark_runtimes(before)
-    after_bench = _benchmark_runtimes(after)
+    before_bench = before.benchmark_runtimes
+    after_bench = after.benchmark_runtimes
     for template in sorted(set(before_bench) & set(after_bench)):
         b = float(np.mean(before_bench[template]))
         a = float(np.mean(after_bench[template]))
@@ -771,8 +811,8 @@ def _paired_impact(before: Observation, after: Observation) -> DeploymentImpact:
     return DeploymentImpact(
         throughput=throughput,
         latency=latency,
-        capacity_before=before.cluster.total_container_slots,
-        capacity_after=after.cluster.total_container_slots,
+        capacity_before=before.capacity,
+        capacity_after=after.capacity,
         benchmark_runtime_change=benchmark_change,
     )
 

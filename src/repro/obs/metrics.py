@@ -14,20 +14,28 @@ write to; tests and dashboards either read it or swap in a private
 
 ``submit()`` drives shards from threads, so one module lock guards every
 registry's get-or-create and every metric update (reset in forked workers).
+
+A pool worker records each task under :func:`capture`; the captured
+registry rides back with the result and :meth:`MetricsRegistry.merge` folds
+it in, so a pooled run reports the same counts as an inline one.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from collections.abc import Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 from repro.utils.tables import TextTable
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "OPS_METRICS"]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "OPS_METRICS", "capture"]
 
 _LOCK = threading.Lock()
 os.register_at_fork(after_in_child=_LOCK._at_fork_reinit)
+_CAPTURE: ContextVar[MetricsRegistry | None] = ContextVar("repro-metrics", default=None)
 
 
 def _labeled(name: str, labels: dict[str, str]) -> str:
@@ -113,8 +121,26 @@ class MetricsRegistry:
     def __init__(self):
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
 
-    def _get_or_create(self, cls, name: str, labels: dict[str, str]):
-        key = _labeled(name, labels)
+    def merge(self, other: "MetricsRegistry") -> None:
+        """Fold ``other``'s metrics in: counters add, gauges take ``other``'s
+        value, histograms combine count/total/min/max."""
+        for key, metric in other._metrics.items():
+            mine = self._get_or_create(type(metric), key)
+            if isinstance(metric, Histogram):
+                with _LOCK:
+                    mine.count += metric.count
+                    mine.total += metric.total
+                    mine.min = min(mine.min, metric.min)
+                    mine.max = max(mine.max, metric.max)
+            elif isinstance(metric, Counter):
+                mine.inc(metric.value)
+            else:
+                mine.set(metric.value)
+
+    def _get_or_create(self, cls, key: str):
+        captured = _CAPTURE.get()
+        if captured is not None and captured is not self:
+            return captured._get_or_create(cls, key)
         with _LOCK:
             metric = self._metrics.get(key)
             if metric is None:
@@ -128,15 +154,15 @@ class MetricsRegistry:
 
     def counter(self, name: str, **labels: str) -> Counter:
         """The counter for ``name`` + labels, created on first use."""
-        return self._get_or_create(Counter, name, labels)
+        return self._get_or_create(Counter, _labeled(name, labels))
 
     def gauge(self, name: str, **labels: str) -> Gauge:
         """The gauge for ``name`` + labels, created on first use."""
-        return self._get_or_create(Gauge, name, labels)
+        return self._get_or_create(Gauge, _labeled(name, labels))
 
     def histogram(self, name: str, **labels: str) -> Histogram:
         """The histogram for ``name`` + labels, created on first use."""
-        return self._get_or_create(Histogram, name, labels)
+        return self._get_or_create(Histogram, _labeled(name, labels))
 
     def get(self, name: str, **labels: str) -> Counter | Gauge | Histogram | None:
         """The metric under ``name`` + labels, or None if never touched."""
@@ -188,3 +214,15 @@ class MetricsRegistry:
 
 #: The process-wide registry instrumented service modules write to.
 OPS_METRICS = MetricsRegistry()
+
+
+@contextmanager
+def capture() -> Iterator[MetricsRegistry]:
+    """Redirect every registry update in this context into a fresh registry,
+    which the block receives; merge it back with :meth:`MetricsRegistry.merge`."""
+    captured = MetricsRegistry()
+    token = _CAPTURE.set(captured)
+    try:
+        yield captured
+    finally:
+        _CAPTURE.reset(token)

@@ -30,11 +30,14 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
+
+from repro.obs.profile import PHASES
 
 __all__ = [
     "SpanRecord",
@@ -50,6 +53,10 @@ __all__ = [
 
 #: Attribute values a span may carry (anything else is stringified).
 _SCALARS = (str, int, float, bool, type(None))
+#: Span names :func:`~repro.obs.profile.attach_profile_spans` formats per
+#: call, so one tracer holds a separate string for each. Every other span
+#: name is a code constant, one string however many spans carry it.
+_PER_CALL_NAMES = frozenset(f"simulator.{phase}" for phase in PHASES)
 
 
 def _coerce_attributes(attributes: dict) -> tuple[tuple[str, object], ...]:
@@ -170,6 +177,7 @@ class Tracer:
         self.spans: list[SpanRecord] = []
         self._stack: list[SpanHandle] = []
         self._ids = itertools.count(1)
+        self._names: dict[str, str] = {}
 
     # ------------------------------------------------------------------
     # Recording
@@ -267,9 +275,12 @@ class Tracer:
     ) -> list[SpanRecord]:
         """Graft foreign finished spans (e.g. a pool worker's) into this trace.
 
-        Every span gets a fresh id from this tracer's sequence and this
-        tracer's ``trace_id``; internal parent/child links are preserved, and
-        the foreign roots are re-parented under the innermost live span.
+        Every span gets a fresh id from this tracer's sequence, in the order
+        the foreign tracer allocated them, and this tracer's ``trace_id``;
+        internal parent/child links are preserved, and the foreign roots are
+        re-parented under the innermost live span. Names, attribute keys and
+        statuses are shared as this tracer shares its own, so a tree merged
+        from several processes pickles like one recorded in one.
         ``align_to`` shifts the whole subtree so its earliest start lands
         there — worker clocks are process-local, so without alignment a
         merged subtree would float at an unrelated offset.
@@ -280,20 +291,26 @@ class Tracer:
         offset = 0.0
         if align_to is not None:
             offset = align_to - min(span.start for span in spans)
-        mapping = {span.span_id: self._next_id() for span in spans}
+        mapping = {
+            span.span_id: self._next_id()
+            for span in sorted(spans, key=lambda span: int(span.span_id[1:]))
+        }
         adopted: list[SpanRecord] = []
         for span in spans:
+            name = span.name
+            if name not in _PER_CALL_NAMES:
+                name = self._names.setdefault(name, name)
             adopted.append(
                 SpanRecord(
                     trace_id=self.trace_id,
                     span_id=mapping[span.span_id],
                     parent_id=mapping.get(span.parent_id, parent_id),
-                    name=span.name,
+                    name=name,
                     start=span.start + offset,
                     end=span.end + offset,
-                    status=span.status,
+                    status=sys.intern(span.status),
                     error=span.error,
-                    attributes=span.attributes,
+                    attributes=tuple((sys.intern(k), v) for k, v in span.attributes),
                 )
             )
         self.spans.extend(adopted)

@@ -5,9 +5,13 @@ deployment offers — an in-process loop, a process pool, a durable task
 queue drained by restartable workers — so the service schedules through an
 :class:`ExecutionBackend`:
 
-* :class:`ProcessPoolBackend` — inline execution in the calling process at
-  ``max_workers=1`` (the bit-identity reference and the service default),
-  otherwise batches fanned over a pool of worker processes;
+* :class:`ProcessPoolBackend` — schedules *windows*, not requests: an
+  observe or flight request is one window, a rollout, resume or impact
+  request two (a baseline and a treatment replaying one workload tag).
+  A batch of one window, or any batch at ``max_workers=1`` (the
+  bit-identity reference and the service default), runs inline in the
+  calling process; otherwise every window is its own pool task, and a
+  two-window request's outcome is assembled once both windows returned;
 * :class:`LocalQueueBackend` — persists every
   :class:`~repro.service.pool.SimulationRequest` as a file in a spool
   directory and drains it with restartable worker *processes* that claim
@@ -15,13 +19,16 @@ queue drained by restartable workers — so the service schedules through an
   mid-batch; re-running the batch reuses every result that already landed
   in ``done/`` and re-executes only what is missing.
 
-Both honour the salvage contract: a failing request never destroys its
-siblings — the batch runs to completion, then a
+The queue backend spools whole requests, each run by
+:func:`~repro.service.pool.execute_request` (its windows one after the
+other). Both honour the salvage contract: a failing request never destroys
+its siblings — the batch runs to completion, then a
 :class:`~repro.service.pool.SimulationBatchError` carries the completed
 outcomes (None at failed slots) and the (request, exception) pairs.
-Because every request is a self-contained picklable recipe executed by
-:func:`~repro.service.pool.execute_request`, every execution is
-bit-identical: same requests in, same outcomes out, wherever they ran.
+Because every request is a self-contained picklable recipe, and every
+window is executed by :func:`~repro.service.pool.execute_window` and paired
+by :func:`~repro.service.pool.assemble`, every execution is bit-identical:
+same requests in, same outcomes out, wherever they ran.
 Worker-side span trees ride back on ``outcome.timing.trace`` from either
 backend, so the orchestrator's beat trace is backend-agnostic. Both record
 one ``backend.*`` ops-metric family, labelled by :attr:`ExecutionBackend.name`.
@@ -35,6 +42,7 @@ import os
 import pickle
 import threading
 import time
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from hashlib import sha256
@@ -45,7 +53,12 @@ from repro.service.pool import (
     SimulationBatchError,
     SimulationOutcome,
     SimulationRequest,
+    WindowOutcome,
+    assemble,
+    check_request,
     execute_request,
+    execute_window,
+    window_count,
 )
 from repro.utils.errors import ServiceError
 
@@ -130,12 +143,12 @@ class ExecutionBackend(abc.ABC):
 
 
 class ProcessPoolBackend(ExecutionBackend):
-    """Runs a batch inline or fans it out over worker processes.
+    """Runs a batch's windows inline or fans them out over worker processes.
 
-    ``max_workers=1`` — or a one-request batch — executes inline in the
+    ``max_workers=1`` — or a one-window batch — executes inline in the
     calling process: the serial reference every other backend must match
     bit for bit. ``None`` uses every available core. The executor is created
-    lazily on the first parallel batch, gets one future per request, and is
+    lazily on the first parallel batch, gets one future per window, and is
     released by :meth:`shutdown`; a later batch rebuilds it.
     """
 
@@ -166,18 +179,30 @@ class ProcessPoolBackend(ExecutionBackend):
     def run(self, requests: list[SimulationRequest]) -> list[SimulationOutcome]:
         """Execute a batch, preserving input order in the outcomes.
 
-        Every request runs to completion before any failure is raised, so
-        a poisoned batch behaves the same inline and on worker processes.
+        Every request is checked before any window is dispatched; each
+        window then runs inline or as its own pool task, and a request's
+        outcome is assembled once all its windows returned. A window that
+        raises fails only its own request, and every request runs to
+        completion before any failure is raised, inline or pooled alike.
         """
         if not requests:
             return []
         with self._lock:
             self._executed += len(requests)
         self._record_batch(requests)
-        # One call per request, yielding its outcome: an inline run, or the
+        errors: dict[int, Exception] = {}
+        tasks: list[tuple[int, int]] = []  # (request slot, window index)
+        for slot, request in enumerate(requests):
+            try:
+                check_request(request)
+            except Exception as exc:
+                errors[slot] = exc
+                continue
+            tasks.extend((slot, index) for index in range(window_count(request)))
+        # One call per window, yielding its result: an inline run, or the
         # result of a future already submitted to the pool.
-        if self.max_workers == 1 or len(requests) == 1:
-            results = [partial(execute_request, request) for request in requests]
+        if self.max_workers == 1 or len(tasks) <= 1:
+            calls = [partial(execute_window, requests[slot], index) for slot, index in tasks]
         else:
             with self._lock:
                 if self._executor is None:
@@ -185,15 +210,26 @@ class ProcessPoolBackend(ExecutionBackend):
                         max_workers=self.max_workers
                     )
                 executor = self._executor
-            results = [
-                executor.submit(execute_request, request).result
-                for request in requests
+            calls = [
+                executor.submit(execute_window, requests[slot], index).result
+                for slot, index in tasks
             ]
+        windows: dict[int, list[WindowOutcome]] = defaultdict(list)
+        for (slot, _index), call in zip(tasks, calls, strict=True):
+            try:
+                window = call()
+            except Exception as exc:
+                errors.setdefault(slot, exc)
+                continue
+            OPS_METRICS.merge(window.metrics)
+            windows[slot].append(window)
         outcomes: list[SimulationOutcome | None] = []
         failures: list[tuple[SimulationRequest, Exception]] = []
-        for request, result in zip(requests, results, strict=True):
+        for slot, request in enumerate(requests):
             try:
-                outcomes.append(result())
+                if slot in errors:
+                    raise errors[slot]
+                outcomes.append(assemble(request, windows[slot]))
             except Exception as exc:  # re-raised by _finish_batch
                 outcomes.append(None)
                 failures.append((request, exc))

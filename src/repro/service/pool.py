@@ -6,22 +6,31 @@ windows can run concurrently: an
 :class:`~repro.service.backend.ExecutionBackend` runs
 :class:`SimulationRequest` batches inline, over a process pool, or through
 a file spool. Every request is a self-contained, picklable recipe — tenant
-spec, scenario, config, explicit workload tag — and :func:`execute_request`
+spec, scenario, config, explicit workload tag — and :func:`execute_window`
 rebuilds the tenant's :class:`~repro.core.kea.Kea` from scratch inside the
 worker. Because nothing depends on live mutable state, a parallel run is
 bit-identical to a serial run of the same requests (same seeds, same tags →
 same outputs), which ``tests/test_service.py`` asserts.
+
+An observe or flight request simulates one window. A rollout, resume or
+impact request simulates two independent windows, a baseline and a
+treatment replaying the same workload tag, so they may run in different
+workers at the same time; :func:`assemble` pairs them into the request's
+outcome, rebuilding the span tree one tracer records for the request run
+inline. :func:`execute_request` runs a request's windows in order in the
+calling process.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from hashlib import sha256
 
 from repro.cluster.config import YarnConfig
 from repro.cluster.simulator import ObservationSpec
-from repro.core.kea import DeploymentImpact
+from repro.core.kea import DeploymentImpact, Kea, PairedWindow, pair_rollout, paired_impact
 from repro.cost import CostReport
 from repro.flighting.build import PlannedFlight
 from repro.flighting.deployment import (
@@ -31,6 +40,7 @@ from repro.flighting.deployment import (
 )
 from repro.flighting.safety import GateVerdict, LatencyRegressionGate
 from repro.flighting.tool import FlightReport
+from repro.obs.metrics import OPS_METRICS, MetricsRegistry, capture
 from repro.obs.trace import SpanRecord, Tracer, activate
 from repro.service.registry import TenantSpec
 from repro.service.scenarios import Scenario
@@ -44,6 +54,11 @@ __all__ = [
     "SimulationOutcome",
     "OutcomeTiming",
     "SimulationBatchError",
+    "WindowOutcome",
+    "window_count",
+    "check_request",
+    "execute_window",
+    "assemble",
     "execute_request",
     "config_fingerprint",
 ]
@@ -70,6 +85,13 @@ class SimulationBatchError(ServiceError):
         self.failures = failures
 
 _KINDS = ("observe", "flight", "impact", "rollout", "resume")
+#: Per two-window kind, the spans :class:`~repro.core.kea.Kea` traces it
+#: under: the pairing span, then the baseline and treatment window spans.
+_PAIRED_SPANS = {
+    "impact": ("kea.deployment_impact", "window.before", "window.after"),
+    "rollout": ("kea.staged_rollout", "window.baseline", "window.rollout"),
+    "resume": ("kea.staged_rollout", "window.baseline", "window.rollout"),
+}
 
 
 def config_fingerprint(config: YarnConfig) -> str:
@@ -174,10 +196,10 @@ class OutcomeTiming:
 
     ``trace`` is the worker-side span tree (picklable
     :class:`~repro.obs.trace.SpanRecord` tuples) that the orchestrator merges
-    into its own trace; ``elapsed_seconds`` is the request's wall-clock in
-    its worker. Neither enters :meth:`SimulationRequest.cache_key` or any
-    tuning decision — a cached replay keeps the timing of the run that
-    produced it.
+    into its own trace; ``elapsed_seconds`` is the worker seconds the request
+    took (summed over both windows of a two-window request). Neither enters
+    :meth:`SimulationRequest.cache_key` or any tuning decision — a cached
+    replay keeps the timing of the run that produced it.
     """
 
     elapsed_seconds: float = 0.0
@@ -210,92 +232,189 @@ class SimulationOutcome:
     timing: OutcomeTiming = field(default_factory=OutcomeTiming)
 
 
-def execute_request(request: SimulationRequest) -> SimulationOutcome:
-    """Run one request to completion (worker-process entry point).
+@dataclass
+class WindowOutcome:
+    """One window's result as it crosses the process boundary: the whole
+    outcome of a one-window request or one side of a two-window request,
+    the window's own timing, and the ops metrics it recorded (merged by
+    whoever collects it)."""
+
+    result: SimulationOutcome | PairedWindow
+    timing: OutcomeTiming
+    metrics: MetricsRegistry
+
+
+def window_count(request: SimulationRequest) -> int:
+    """How many independent windows ``request`` simulates (1 or 2)."""
+    return 2 if request.kind in _PAIRED_SPANS else 1
+
+
+def check_request(request: SimulationRequest) -> None:
+    """Fail an invalid rollout plan before any window is dispatched."""
+    if request.kind in ("rollout", "resume"):
+        kea = request.spec.build(config=request.config, scenario=request.scenario)
+        kea.rollout_plan(request.rollout, days=request.days, checkpoint=request.checkpoint)
+
+
+def execute_window(request: SimulationRequest, index: int) -> WindowOutcome:
+    """Run window ``index`` of ``request`` (worker-process entry point).
 
     Builds the tenant's KEA instance from the declarative spec, so execution
-    is independent of which process — or how many — run the batch. The whole
-    request runs under a local tracer whose finished spans ride back on
-    ``outcome.timing`` (elapsed included, populated at construction — never
-    mutated afterwards), so the orchestrator can merge a worker's span tree
-    into the beat's trace.
+    is independent of which process — or how many — run the batch. The
+    window's spans and ops metrics are recorded locally and ride back on
+    the result. A one-window request's window is the whole request.
     """
     # repro: allow[REP001] out-of-band worker wall-clock: rides OutcomeTiming, never a cache key or decision
     started = time.perf_counter()
-    scenario = request.scenario
     tracer = Tracer(trace_id=f"{request.tenant}/{request.workload_tag}")
-    produced: dict[str, object] = {}
-    with activate(tracer), tracer.span(
-        f"request.{request.kind}",
-        tenant=request.tenant,
-        workload_tag=request.workload_tag,
-        days=request.days,
+    paired = request.kind in _PAIRED_SPANS
+    with capture() as metrics, activate(tracer), (
+        nullcontext() if paired else _request_span(tracer, request)
     ):
-        kea = request.spec.build(config=request.config, scenario=scenario)
-        if request.kind == "observe":
-            spec = request.observation
-            benchmark_period = (
-                spec.benchmark_period_hours
-                if spec.benchmark_period_hours is not None
-                else scenario.benchmark_period_hours
-            )
-            observation = kea.simulate(
-                request.days,
-                sim_config=spec.to_sim_config(),
-                benchmark_period_hours=benchmark_period,
-                workload_tag=request.workload_tag,
-                load_multiplier=scenario.load_multiplier,
-                actions=scenario.actions(),
-            )
-            produced["frame"] = observation.monitor.frame
-            produced["snapshot"] = observation.monitor.snapshot()
-            produced["resource_samples"] = observation.result.resource_samples
-        elif request.kind == "flight":
-            validation = kea.flight_campaign(
-                request.flights,
-                hours=request.flight_hours,
-                machines_per_group=request.machines_per_group,
-                metrics=request.flight_metrics,
-                load_multiplier=scenario.stress_load_multiplier,
-                workload_tag=request.workload_tag,
-                safety_gate=LatencyRegressionGate(
-                    window_hours=request.gate_window_hours,
-                    allowance=request.gate_allowance,
-                ),
-                actions=scenario.fault_actions(),
-            )
-            produced["flight_reports"] = validation.reports
-            produced["gate"] = validation.gate
-        elif request.kind in ("rollout", "resume"):
-            staged = kea.staged_rollout(
-                request.rollout,
-                days=request.days,
-                benchmark_period_hours=scenario.benchmark_period_hours,
-                load_multiplier=scenario.stress_load_multiplier,
-                workload_tag=request.workload_tag,
-                checkpoint=request.checkpoint,
-                actions=scenario.fault_actions(),
-            )
-            produced["rollout_waves"] = list(staged.waves)
-            produced["rollout_checkpoint"] = staged.checkpoint
-            produced["impact"] = staged.impact
-        else:  # impact
-            produced["impact"] = kea.deployment_impact(
-                request.proposed,
-                days=request.days,
-                benchmark_period_hours=scenario.benchmark_period_hours,
-                load_multiplier=scenario.stress_load_multiplier,
-                workload_tag=request.workload_tag,
-                actions=scenario.fault_actions(),
-            )
+        kea = request.spec.build(config=request.config, scenario=request.scenario)
+        result = _paired_window(kea, request, index) if paired else _single_window(kea, request)
+    timing = OutcomeTiming(
+        # repro: allow[REP001] out-of-band worker wall-clock: rides OutcomeTiming, never a cache key or decision
+        elapsed_seconds=time.perf_counter() - started,
+        trace=tuple(tracer.spans),
+    )
+    if not paired:
+        result = SimulationOutcome(
+            tenant=request.tenant,
+            kind=request.kind,
+            workload_tag=request.workload_tag,
+            timing=timing,
+            **result,
+        )
+    return WindowOutcome(result=result, timing=timing, metrics=metrics)
+
+
+def assemble(request: SimulationRequest, windows: list[WindowOutcome]) -> SimulationOutcome:
+    """The request's outcome from its windows, in window order.
+
+    A two-window request pairs its windows with the same code
+    :meth:`Kea.staged_rollout` uses; its elapsed seconds are the worker
+    seconds of both windows.
+    """
+    if request.kind not in _PAIRED_SPANS:
+        (window,) = windows
+        return window.result
+    before, after = (window.result for window in windows)
+    if request.kind == "impact":
+        produced = {"impact": paired_impact(before, after)}
+    else:
+        staged = pair_rollout(before, after)
+        produced = {
+            "rollout_waves": list(staged.waves),
+            "rollout_checkpoint": staged.checkpoint,
+            "impact": staged.impact,
+        }
     return SimulationOutcome(
         tenant=request.tenant,
         kind=request.kind,
         workload_tag=request.workload_tag,
         timing=OutcomeTiming(
-            # repro: allow[REP001] out-of-band worker wall-clock: rides OutcomeTiming, never a cache key or decision
-            elapsed_seconds=time.perf_counter() - started,
-            trace=tuple(tracer.spans),
+            elapsed_seconds=sum(w.timing.elapsed_seconds for w in windows),
+            trace=_request_trace(request, [w.timing.trace for w in windows]),
         ),
         **produced,
+    )
+
+
+def execute_request(request: SimulationRequest) -> SimulationOutcome:
+    """Run one request in this process: check it, run its windows in
+    order, merge their ops metrics and assemble the outcome."""
+    check_request(request)
+    windows = [execute_window(request, index) for index in range(window_count(request))]
+    for window in windows:
+        OPS_METRICS.merge(window.metrics)
+    return assemble(request, windows)
+
+
+def _single_window(kea: Kea, request: SimulationRequest) -> dict[str, object]:
+    """The outcome fields of an ``observe`` or ``flight`` request."""
+    scenario = request.scenario
+    if request.kind == "observe":
+        spec = request.observation
+        benchmark_period = (
+            spec.benchmark_period_hours
+            if spec.benchmark_period_hours is not None
+            else scenario.benchmark_period_hours
+        )
+        observation = kea.simulate(
+            request.days,
+            sim_config=spec.to_sim_config(),
+            benchmark_period_hours=benchmark_period,
+            workload_tag=request.workload_tag,
+            load_multiplier=scenario.load_multiplier,
+            actions=scenario.actions(),
+        )
+        return {
+            "frame": observation.monitor.frame,
+            "snapshot": observation.monitor.snapshot(),
+            "resource_samples": observation.result.resource_samples,
+        }
+    validation = kea.flight_campaign(
+        request.flights,
+        hours=request.flight_hours,
+        machines_per_group=request.machines_per_group,
+        metrics=request.flight_metrics,
+        load_multiplier=scenario.stress_load_multiplier,
+        workload_tag=request.workload_tag,
+        safety_gate=LatencyRegressionGate(
+            window_hours=request.gate_window_hours,
+            allowance=request.gate_allowance,
+        ),
+        actions=scenario.fault_actions(),
+    )
+    return {"flight_reports": validation.reports, "gate": validation.gate}
+
+
+def _paired_window(kea: Kea, request: SimulationRequest, index: int) -> PairedWindow:
+    """Window 0 (the baseline) or 1 (the treatment) of a two-window request."""
+    treatment = (
+        {"config": request.proposed}
+        if request.kind == "impact"
+        else {"rollout": request.rollout, "checkpoint": request.checkpoint}
+    )
+    return kea.paired_window(
+        _PAIRED_SPANS[request.kind][index + 1],
+        request.days,
+        request.workload_tag,
+        benchmark_period_hours=request.scenario.benchmark_period_hours,
+        load_multiplier=request.scenario.stress_load_multiplier,
+        actions=request.scenario.fault_actions(),
+        **(treatment if index else {}),
+    )
+
+
+def _request_trace(
+    request: SimulationRequest, windows: list[tuple[SpanRecord, ...]]
+) -> tuple[SpanRecord, ...]:
+    """The span tree one tracer records for a two-window request run inline:
+    ``request.<kind>`` › ``kea.staged_rollout`` (or ``kea.deployment_impact``)
+    › each window's subtree. The outer spans cover both windows
+    (``perf_counter`` is system-wide, so workers share one clock)."""
+    roots = [window[-1] for window in windows]  # a subtree's root finishes last
+    start, end = min(r.start for r in roots), max(r.end for r in roots)
+    ticks = iter((start, start, end, end))
+    tracer = Tracer(clock=ticks.__next__, trace_id=f"{request.tenant}/{request.workload_tag}")
+    resuming = {} if request.kind == "impact" else {"resuming": request.checkpoint is not None}
+    with _request_span(tracer, request), tracer.span(
+        _PAIRED_SPANS[request.kind][0],
+        days=request.days,
+        workload_tag=request.workload_tag,
+        **resuming,
+    ):
+        for window in windows:
+            tracer.merge(window)
+    return tuple(tracer.spans)
+
+
+def _request_span(tracer: Tracer, request: SimulationRequest):
+    return tracer.span(
+        f"request.{request.kind}",
+        tenant=request.tenant,
+        workload_tag=request.workload_tag,
+        days=request.days,
     )
