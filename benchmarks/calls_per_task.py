@@ -7,6 +7,11 @@ call count, the calls per started task, and the functions with the most
 calls and the most self time. Only the run is profiled: cluster build and
 workload generation happen before the profiler starts.
 
+It then runs the same window again with ``profile=True``, as every pool
+window runs (a recording tracer is always active there), and prints the
+``perf_counter`` calls per started task that the simulator's phase
+profiling adds.
+
 The count is deterministic for a given seed and interpreter, so it does not
 depend on host speed; the self times do.
 
@@ -31,8 +36,12 @@ OCCUPANCY = 0.62
 MEAN_TASK_S = 420.0
 
 
-def profile_window(seed: int) -> tuple[pstats.Stats, int]:
-    """Profile one ``sim-nominal`` run; returns (stats, tasks started)."""
+def profile_window(seed: int, profile: bool | None = None) -> tuple[pstats.Stats, int]:
+    """Profile one ``sim-nominal`` run; returns (stats, tasks started).
+
+    ``profile`` is passed to :class:`ClusterSimulator` (None: off here, as
+    no tracer is active).
+    """
     spec = default_fleet_spec()
     templates = default_templates()
     jobs_per_hour = estimate_jobs_per_hour(
@@ -49,7 +58,9 @@ def profile_window(seed: int) -> tuple[pstats.Stats, int]:
         seasonality=SeasonalityProfile(),
         streams=streams.spawn("workload"),
     ).generate(HOURS)
-    simulator = ClusterSimulator(cluster, workload, streams=streams.spawn("sim"))
+    simulator = ClusterSimulator(
+        cluster, workload, streams=streams.spawn("sim"), profile=profile
+    )
     profiler = cProfile.Profile()
     profiler.enable()
     result = simulator.run(HOURS)
@@ -83,6 +94,15 @@ def main(argv: list[str] | None = None) -> None:
         for func, calls, self_s, cum_s in sorted(rows, key=lambda r: -r[key])[: args.top]:
             print(f"{calls:>10,} {calls / tasks:>9.2f} {self_s:>8.3f} {cum_s:>8.3f}  "
                   f"{_label(func)}")
+
+    stats, tasks = profile_window(args.seed, profile=True)
+    clock_calls = sum(
+        calls
+        for func, (_prim, calls, _self_s, _cum_s, _callers) in stats.stats.items()
+        if func[2].endswith("perf_counter>")
+    )
+    print(f"\nprofile=True: {stats.total_calls / tasks:.2f} calls per task, "
+          f"{clock_calls:,} perf_counter calls, {clock_calls / tasks:.2f} per task")
 
 
 if __name__ == "__main__":

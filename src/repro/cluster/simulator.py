@@ -34,6 +34,7 @@ named :class:`~repro.utils.rng.RngStreams`).
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from collections import deque
 from collections.abc import Callable, Iterable
@@ -50,7 +51,7 @@ from repro.telemetry.records import JobRecord, ResourceSample, TaskLog
 from repro.utils.rng import RngStreams
 from repro.utils.units import SECONDS_PER_HOUR
 from repro.workload.generator import Workload
-from repro.workload.job import JobRuntime
+from repro.workload.job import JobRuntime, normal_stream
 from repro.workload.task import Task
 
 __all__ = [
@@ -84,8 +85,10 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.task_log_sample_rate <= 1.0:
             raise ValueError("task_log_sample_rate must be in [0, 1]")
-        if self.resource_sample_period_s < 0 or self.resource_sample_machines < 0:
-            raise ValueError("resource sampling knobs must be non-negative")
+        # Rejects NaN (samples stamped at time NaN) and inf (none recorded).
+        period = self.resource_sample_period_s
+        if not 0.0 <= period < math.inf or self.resource_sample_machines < 0:
+            raise ValueError("resource sampling knobs must be finite and non-negative")
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,12 +115,10 @@ class ObservationSpec:
     benchmark_period_hours: float | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.task_log_sample_rate <= 1.0:
-            raise ValueError("task_log_sample_rate must be in [0, 1]")
-        if self.resource_sample_period_s < 0 or self.resource_sample_machines < 0:
-            raise ValueError("resource sampling knobs must be non-negative")
-        if self.benchmark_period_hours is not None and self.benchmark_period_hours < 0:
-            raise ValueError("benchmark_period_hours must be non-negative")
+        self.to_sim_config()  # validates the knobs the two share
+        period = self.benchmark_period_hours
+        if period is not None and not 0.0 <= period < math.inf:
+            raise ValueError("benchmark_period_hours must be finite and non-negative")
 
     @property
     def is_default(self) -> bool:
@@ -212,7 +213,8 @@ class ClusterSimulator:
         self.now = 0.0
         self._heap: list[tuple[float, int, int, object]] = []
         self._seq = 0  # sequence number of the next event pushed
-        self._stage_rng = self.streams.get("stages")
+        # The stream owns the "stages" generator: nothing else draws from it.
+        self._stages = normal_stream(self.streams.get("stages"))
         self._log_rng = random.Random(
             self.streams.get("tasklog-seed").integers(0, 2**31).item()
         )
@@ -312,11 +314,14 @@ class ClusterSimulator:
             self._push(arrivals[0].time, _ARRIVAL, arrivals[0].template)
 
         heap, heappop = self._heap, heapq.heappop
-        profile = self.result.profile
         profiling = (
             current_tracer().enabled if self._profile is None else self._profile
         )
         self._profiling = profiling
+        if profiling:  # per loop, telemetry dispatch and _place call, not per event
+            seq0, pending0 = self._seq, len(heap)
+            telemetry_seconds, telemetry_events = 0.0, 0
+            loop_start = perf_counter()  # repro: allow[REP001] obs-gated profiling
         while heap:
             time, kind, seq, payload = heappop(heap)
             if time > horizon:
@@ -325,8 +330,6 @@ class ClusterSimulator:
                 heapq.heappush(heap, (time, kind, seq, payload))
                 break
             self.now = time
-            # repro: allow[REP001] obs-gated profiling: attribution only, never enters simulation state
-            tick = perf_counter() if profiling else 0.0
             if kind == _FINISH:
                 # Inline: once per task. An entry whose seq is not the task's
                 # finish_seq was cancelled by a crash (the task was requeued).
@@ -351,16 +354,23 @@ class ClusterSimulator:
                         arrivals[arrival_index].time, _ARRIVAL,
                         arrivals[arrival_index].template,
                     )
-            elif kind == _HOUR:
-                hour = payload
-                if hour > 0:
-                    self._flush_hour(hour - 1)
-                if hour * SECONDS_PER_HOUR < horizon:
-                    self._push((hour + 1) * SECONDS_PER_HOUR, _HOUR, hour + 1)
+            elif kind == _HOUR or kind == _SAMPLE:
+                if profiling:
+                    tick = perf_counter()  # repro: allow[REP001] obs-gated profiling
+                if kind == _SAMPLE:
+                    self._handle_sample(payload, horizon)
+                else:
+                    hour = payload
+                    if hour > 0:
+                        self._flush_hour(hour - 1)
+                    if hour * SECONDS_PER_HOUR < horizon:
+                        self._push((hour + 1) * SECONDS_PER_HOUR, _HOUR, hour + 1)
+                if profiling:
+                    # repro: allow[REP001] obs-gated profiling: attribution only, never enters simulation state
+                    telemetry_seconds += perf_counter() - tick
+                    telemetry_events += 1
             elif kind == _ACTION:
                 payload(self)
-            elif kind == _SAMPLE:
-                self._handle_sample(payload, horizon)
             elif kind == _CRASH:
                 self._handle_crash(payload)
             elif kind == _RECOVER:
@@ -368,20 +378,14 @@ class ClusterSimulator:
             else:  # _SLOW
                 machine, factor = payload
                 machine.slowdown = factor
-            # Attribute the dispatch we just ran: hourly flushes and resource
-            # samples are telemetry rollup; everything else (arrivals,
-            # finishes, actions, faults) is event processing. Placement time
-            # nests inside event dispatches and is carved out by
-            # SimulatorProfile.as_phases().
-            if profiling:
-                if kind == _HOUR or kind == _SAMPLE:
-                    # repro: allow[REP001] obs-gated profiling: attribution only, never enters simulation state
-                    profile.telemetry_seconds += perf_counter() - tick
-                    profile.telemetry_events += 1
-                else:
-                    # repro: allow[REP001] obs-gated profiling: attribution only, never enters simulation state
-                    profile.event_seconds += perf_counter() - tick
-                    profile.events += 1
+        if profiling:
+            profile = self.result.profile  # placement nests in event_seconds
+            # repro: allow[REP001] obs-gated profiling: attribution only, never enters simulation state
+            profile.event_seconds += perf_counter() - loop_start - telemetry_seconds
+            # Every push moved _seq on; the entry put back at the horizon moved neither.
+            profile.events += (self._seq - seq0) - (len(heap) - pending0) - telemetry_events
+            profile.telemetry_seconds += telemetry_seconds
+            profile.telemetry_events += telemetry_events
 
         self.now = horizon
         self.result.duration_hours = duration_hours
@@ -397,9 +401,9 @@ class ClusterSimulator:
         heapq.heappush(self._heap, (time, kind, seq, payload))
 
     def _handle_arrival(self, template) -> None:
-        job = JobRuntime(self.result.jobs_submitted, template, self.now, self._stage_rng)
+        job = JobRuntime(self.result.jobs_submitted, template, self.now, self._stages)
         self.result.jobs_submitted += 1
-        self._place(job.start_next_stage(self._stage_rng))
+        self._place(job.start_next_stage(self._stages))
 
     def _place(self, tasks: Iterable[Task], host: Machine | None = None) -> None:
         """The one placement loop: start, queue or defer each task in order.
@@ -420,7 +424,10 @@ class ClusterSimulator:
         seq = self._seq
         task_log = result.task_log
         rate = task_log.sample_rate
-        profiling, profile = self._profiling, result.profile
+        profiling = self._profiling
+        if profiling:
+            queued0 = result.tasks_queued
+            tick = perf_counter()  # repro: allow[REP001] obs-gated profiling
         started = 0
         for task in tasks:
             wait = task.carried_wait
@@ -430,14 +437,7 @@ class ClusterSimulator:
                     result.tasks_deferred += 1
                     self.rm_pending.append((task, now))
                     continue
-                if profiling:
-                    # repro: allow[REP001] obs-gated profiling: attribution only, never enters simulation state
-                    tick = perf_counter()
                 machine = place(task, now, wait)
-                if profiling:
-                    # repro: allow[REP001] obs-gated profiling: attribution only, never enters simulation state
-                    profile.placement_seconds += perf_counter() - tick
-                    profile.placements += 1
                 if machine is None:
                     # A queued task's enqueue is backdated by its carried wait.
                     task.carried_wait = 0.0
@@ -477,13 +477,18 @@ class ClusterSimulator:
             seq += 1
         self._seq = seq
         result.tasks_started += started
+        if profiling:
+            # repro: allow[REP001] obs-gated profiling: attribution only, never enters simulation state
+            result.profile.placement_seconds += perf_counter() - tick
+            if host is None:  # every task not deferred went through scheduler.place
+                result.profile.placements += started + result.tasks_queued - queued0
 
     def _finish_stage(self, job: JobRuntime) -> None:
         """A stage's last task finished: start the next stage or close the job."""
         if job.last_finish_log_row >= 0:
             self.result.task_log.mark_critical(job.last_finish_log_row)
         if job.has_next_stage:
-            self._place(job.start_next_stage(self._stage_rng))
+            self._place(job.start_next_stage(self._stages))
         else:
             job.finished = True
             self.result.jobs_completed += 1

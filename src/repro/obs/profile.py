@@ -1,16 +1,19 @@
 """Phase attribution for the simulator hot path.
 
-``observe_seconds`` dominates every benchmark row, but before this module it
-was one opaque number. :class:`SimulatorProfile` is the accumulator
+:class:`SimulatorProfile` is the accumulator
 :class:`~repro.cluster.simulator.ClusterSimulator` fills while its event loop
-runs, splitting wall-clock into the three phases ROADMAP item 1 needs to
-profile-gate the event-driven rewrite:
+runs, splitting the run's wall-clock into three phases:
 
-* **placement** — ``scheduler.place`` calls;
-* **event processing** — task arrival/finish/action dispatch *excluding* the
-  placement work nested inside it;
+* **placement** — every ``_place`` call: the loop that starts, queues or
+  defers a batch of tasks;
+* **event processing** — the rest of the event loop (heap pops included),
+  *excluding* the placement work nested inside it;
 * **telemetry rollup** — hourly machine-record flushes and utilization
   sampling.
+
+The simulator reads the clock around the event loop, each telemetry
+dispatch and each ``_place`` call, never per event or placement; set-up
+outside the loop is left to the ``simulator.overhead`` remainder.
 
 The profile is plain data (picklable, mergeable); it crosses the pool
 boundary on ``SimulationResult`` and :func:`attach_profile_spans` renders it
@@ -32,9 +35,11 @@ PHASES = ("placement", "event_processing", "telemetry_rollup")
 class SimulatorProfile:
     """Wall-clock attribution of one simulator run, by phase.
 
-    ``event_seconds`` counts whole event dispatches, placement included —
-    :meth:`as_phases` subtracts the nested placement time so the three
-    reported phases are disjoint.
+    ``event_seconds`` is the event loop outside telemetry dispatches,
+    placement included — :meth:`as_phases` subtracts the nested placement
+    time so the three reported phases are disjoint. ``placements`` counts
+    ``scheduler.place`` calls; ``events`` counts dispatched non-telemetry
+    events, cancelled FINISH entries included.
     """
 
     placement_seconds: float = 0.0

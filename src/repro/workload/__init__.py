@@ -6,7 +6,7 @@ from repro.workload.generator import (
     WorkloadGenerator,
     estimate_jobs_per_hour,
 )
-from repro.workload.job import JobRuntime
+from repro.workload.job import JobRuntime, normal_stream
 from repro.workload.operators import OPERATORS, OperatorSpec, operator_by_name
 from repro.workload.seasonality import FLAT_PROFILE, SeasonalityProfile, SpikeProfile
 from repro.workload.task import Task
@@ -23,6 +23,7 @@ __all__ = [
     "WorkloadGenerator",
     "estimate_jobs_per_hour",
     "JobRuntime",
+    "normal_stream",
     "OPERATORS",
     "OperatorSpec",
     "operator_by_name",

@@ -15,11 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.utils.units import GB, MB
 
-__all__ = ["OperatorSpec", "OPERATORS", "operator_by_name", "sample_task_params"]
+__all__ = ["OperatorSpec", "OPERATORS", "operator_by_name"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,30 +62,3 @@ def operator_by_name(name: str) -> OperatorSpec:
     except KeyError:
         known = ", ".join(sorted(_OPERATOR_INDEX))
         raise KeyError(f"unknown operator {name!r}; known operators: {known}") from None
-
-
-def sample_task_params(
-    op: OperatorSpec,
-    n_tasks: int,
-    rng: np.random.Generator,
-    work_scale: float = 1.0,
-    data_scale: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Draw per-task (work_s, data_bytes, ram_gb, ssd_gb) arrays for a stage.
-
-    Log-normal draws are parameterized so the *mean* (not the median) equals
-    the spec's mean, i.e. ``mu = ln(mean) - sigma^2 / 2``.
-    """
-    if n_tasks < 1:
-        raise ValueError(f"n_tasks must be >= 1, got {n_tasks}")
-    work_mu = np.log(op.work_mean_s * work_scale) - op.work_sigma**2 / 2.0
-    data_mu = np.log(op.data_mean_bytes * data_scale) - op.data_sigma**2 / 2.0
-    work = rng.lognormal(mean=work_mu, sigma=op.work_sigma, size=n_tasks)
-    data = rng.lognormal(mean=data_mu, sigma=op.data_sigma, size=n_tasks)
-    ram = np.maximum(
-        0.25, rng.normal(op.ram_gb_per_container, op.ram_gb_per_container * 0.2, n_tasks)
-    )
-    ssd = np.maximum(
-        0.5, rng.normal(op.ssd_gb_per_container, op.ssd_gb_per_container * 0.2, n_tasks)
-    )
-    return work, data, ram, ssd

@@ -13,10 +13,11 @@ machine, the duration, the task-log row and the sequence number of its
 FINISH event — so the task itself is the FINISH payload.
 
 Tasks are built in bulk, one stage at a time, by
-:meth:`JobRuntime.start_next_stage`, which validates the stage's sampled
-parameters once for the whole stage, on the Python lists it builds the
-tasks from; the constructor itself does no checks. The simulator's one
-placement loop then starts, queues or defers the stage's tasks in order.
+:meth:`JobRuntime.start_next_stage` from :func:`~repro.workload.job.normal_stream`
+(which owns the ``"stages"`` generator), validated once for the whole
+stage on the lists they are built from; the constructor itself does no
+checks. The simulator's one placement loop then starts, queues or defers
+the stage's tasks in order.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ template-level size multiplier so "the same job on bigger data" is captured.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,19 +36,24 @@ class StageSpec:
     n_tasks_sigma: float = 0.3  # log-space sigma; 0 = deterministic count
     work_scale: float = 1.0
     data_scale: float = 1.0
+    #: Task-draw constants, derived once: ``(operator, cpu_fraction, work_mu,
+    #: work_sigma, data_mu, data_sigma, ram_loc, ram_scale, ssd_loc, ssd_scale)``.
+    draw: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        operator_by_name(self.operator)  # validate eagerly
+        op = operator_by_name(self.operator)  # validate eagerly
         if self.n_tasks_mean < 1:
             raise ValueError("n_tasks_mean must be >= 1")
-
-    def sample_n_tasks(self, rng: np.random.Generator, size_mult: float = 1.0) -> int:
-        """Draw the task count for one instance of this stage."""
-        mean = self.n_tasks_mean * size_mult
-        if self.n_tasks_sigma <= 0:
-            return max(1, int(round(mean)))
-        mu = np.log(mean) - self.n_tasks_sigma**2 / 2.0
-        return max(1, int(round(rng.lognormal(mu, self.n_tasks_sigma))))
+        # Log-normal mu = ln(mean) - sigma^2 / 2 makes the mean the scaled
+        # spec mean; np.log because math.log differs in the last bit.
+        ram, ssd = op.ram_gb_per_container, op.ssd_gb_per_container
+        object.__setattr__(self, "draw", (
+            op.name, op.cpu_fraction,
+            float(np.log(op.work_mean_s * self.work_scale)) - op.work_sigma**2 / 2.0,
+            op.work_sigma,
+            float(np.log(op.data_mean_bytes * self.data_scale)) - op.data_sigma**2 / 2.0,
+            op.data_sigma, ram, ram * 0.2, ssd, ssd * 0.2,
+        ))
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,13 +71,6 @@ class JobTemplate:
             raise ValueError(f"template {self.name!r} needs at least one stage")
         if self.weight < 0:
             raise ValueError("weight must be non-negative")
-
-    def sample_size_multiplier(self, rng: np.random.Generator) -> float:
-        """Per-instance input-size multiplier (1.0 in expectation)."""
-        if self.size_sigma <= 0:
-            return 1.0
-        mu = -self.size_sigma**2 / 2.0
-        return float(rng.lognormal(mu, self.size_sigma))
 
     @property
     def expected_tasks(self) -> float:

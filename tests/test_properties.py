@@ -309,13 +309,13 @@ def _run_conserving(
     start_next_stage = JobRuntime.start_next_stage
     on_task_finish = JobRuntime.on_task_finish
 
-    def recording_start(job, rng):
+    def recording_start(job, stream):
         jobs[job.job_id] = job
         if timeline is not None:
             starts, stage_finishes = timeline.setdefault(job.job_id, ([], []))
             starts.append(simulator.now)
             stage_finishes.append([])
-        return start_next_stage(job, rng)
+        return start_next_stage(job, stream)
 
     def counting_finish(job, finish_time, duration, log_row):
         finishes[job.job_id] += 1

@@ -5,18 +5,23 @@ runs for properties that need special setups (actions, determinism).
 """
 
 import cProfile
+import heapq
 import pstats
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.cluster import (
     ClusterSimulator,
+    ObservationSpec,
     SimulationConfig,
     build_cluster,
     small_fleet_spec,
 )
 from repro.cluster.config import GroupLimits, YarnConfig
+from repro.cluster.scheduler import YarnScheduler
+from repro.cluster.simulator import _HOUR, _SAMPLE
 from repro.telemetry import PerformanceMonitor
 from repro.utils.rng import RngStreams
 from repro.workload import WorkloadGenerator, default_templates
@@ -24,13 +29,16 @@ from repro.workload.generator import JobArrival, Workload
 from repro.workload.template import JobTemplate, StageSpec
 
 
-def quick_sim(seed=5, hours=2.0, jobs_per_hour=150.0, config=None, sim_config=None):
+def quick_sim(
+    seed=5, hours=2.0, jobs_per_hour=150.0, config=None, sim_config=None, profile=None
+):
     cluster = build_cluster(small_fleet_spec(), config)
     workload = WorkloadGenerator(
         default_templates(), jobs_per_hour=jobs_per_hour, streams=RngStreams(seed)
     ).generate(hours)
     simulator = ClusterSimulator(
-        cluster, workload, streams=RngStreams(seed + 1), config=sim_config
+        cluster, workload, streams=RngStreams(seed + 1), config=sim_config,
+        profile=profile,
     )
     return cluster, simulator, workload
 
@@ -169,16 +177,27 @@ class TestSimulationConfigValidation:
             {"task_log_sample_rate": 1.5},
             {"resource_sample_period_s": -60.0},
             {"resource_sample_machines": -1},
+            {"resource_sample_period_s": float("nan")},
+            {"resource_sample_period_s": float("inf")},
+            {"task_log_sample_rate": float("nan")},
         ],
     )
     def test_out_of_range_knobs_rejected(self, knobs):
         with pytest.raises(ValueError):
             SimulationConfig(**knobs)
+        with pytest.raises(ValueError):
+            ObservationSpec(**knobs)
+
+    @pytest.mark.parametrize("period", [-1.0, float("nan"), float("inf")])
+    def test_bad_benchmark_period_rejected(self, period):
+        with pytest.raises(ValueError):
+            ObservationSpec(benchmark_period_hours=period)
 
     def test_defaults_and_boundaries_accepted(self):
         SimulationConfig()
         SimulationConfig(task_log_sample_rate=1.0, resource_sample_period_s=0.0,
                          resource_sample_machines=0)
+        ObservationSpec(benchmark_period_hours=0.0)
 
 
 class TestCriticalPath:
@@ -287,7 +306,8 @@ class TestCallBudget:
     this window (36 machines, 2 h, 150 jobs/h, 5,609 tasks started) the
     simulator made 158,109 calls, 28.2 per task, before the per-task path
     was inlined (one placement loop per stage, inlined machine transitions
-    and FINISH handling); it makes 13.9. Check a regression with
+    and FINISH handling), 13.9 after, and 13.4 since stage draws come from
+    one buffered normal stream. Check a regression with
     ``benchmarks/calls_per_task.py``, which prints the top callers.
     """
 
@@ -304,3 +324,73 @@ class TestCallBudget:
         calls = pstats.Stats(profiler).total_calls
         assert result.tasks_started > 5000
         assert calls / result.tasks_started <= self.BUDGET
+
+    def test_profiling_reads_the_clock_per_stage_not_per_task(self):
+        """A profiled run (every pool window is one) stays off the per-task path.
+
+        The simulator reads ``perf_counter`` around its event loop, each
+        telemetry dispatch and each ``_place`` call; it read it twice per
+        event and twice per placement before (3.92 calls per started task).
+        """
+        _, simulator, _ = quick_sim(hours=2.0, profile=True)
+        profiler = cProfile.Profile()
+        profiler.enable()
+        try:
+            result = simulator.run(2.0)
+        finally:
+            profiler.disable()
+        clock_calls = sum(
+            calls
+            for (_file, _line, name), (_prim, calls, *_rest) in pstats.Stats(profiler).stats.items()
+            if "perf_counter" in name
+        )
+        assert result.profile.placements > 0
+        assert 0 < clock_calls / result.tasks_started <= 0.5
+
+
+class TestProfileCounts:
+    """The profile's integer-derived counts equal counts taken by wrapping."""
+
+    @pytest.mark.parametrize("limits", [None, (1, 0), (2, 1)])
+    def test_counts_match_wrapped_calls(self, monkeypatch, limits):
+        config = None if limits is None else YarnConfig(
+            default_limits=GroupLimits(
+                max_running_containers=limits[0], max_queued_containers=limits[1]
+            )
+        )
+        cluster, simulator, _ = quick_sim(
+            hours=1.0, config=config, profile=True,
+            sim_config=SimulationConfig(
+                resource_sample_period_s=600.0, resource_sample_machines=2
+            ),
+        )
+        for i, machine in enumerate(cluster.machines[:3]):
+            simulator.schedule_crash(900.0 + 300.0 * i, machine)
+            simulator.schedule_recover(2400.0 + 300.0 * i, machine)
+        popped: list[int] = []
+        real_pop, real_place = heapq.heappop, YarnScheduler.place
+
+        def counting_pop(heap):
+            entry = real_pop(heap)
+            popped.append(entry[1])
+            return entry
+
+        places = Counter()
+
+        def counting_place(scheduler, *args):
+            places["calls"] += 1
+            return real_place(scheduler, *args)
+
+        monkeypatch.setattr(heapq, "heappop", counting_pop)
+        monkeypatch.setattr(YarnScheduler, "place", counting_place)
+        result = simulator.run(1.0)
+        monkeypatch.undo()
+        if simulator._heap:
+            popped.pop()  # the entry past the horizon, pushed back undispatched
+        kinds = Counter(popped)
+        telemetry = kinds[_HOUR] + kinds[_SAMPLE]
+        profile = result.profile
+        assert result.machines_crashed == 3
+        assert profile.telemetry_events == telemetry > 0
+        assert profile.events == len(popped) - telemetry
+        assert profile.placements == places["calls"] > 0

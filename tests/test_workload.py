@@ -1,6 +1,8 @@
 """Tests for operators, templates, seasonality, and the workload generator."""
 
+import math
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -13,14 +15,52 @@ from repro.workload import (
     JobTemplate,
     SeasonalityProfile,
     StageSpec,
-    Task,
     WorkloadGenerator,
     benchmark_templates,
     default_templates,
     estimate_jobs_per_hour,
+    normal_stream,
     operator_by_name,
 )
-from repro.workload.operators import sample_task_params
+from repro.workload.job import BLOCK
+
+
+# Reference samplers: the per-stage numpy calls stage materialization made
+# before it drew from normal_stream. The stream must reproduce them bit for
+# bit from a generator seeded the same way.
+def reference_size_multiplier(template, rng):
+    if template.size_sigma <= 0:
+        return 1.0
+    mu = -template.size_sigma**2 / 2.0
+    return float(rng.lognormal(mu, template.size_sigma))
+
+
+def reference_n_tasks(stage, rng, size_mult=1.0):
+    mean = stage.n_tasks_mean * size_mult
+    if stage.n_tasks_sigma <= 0:
+        return max(1, int(round(mean)))
+    mu = np.log(mean) - stage.n_tasks_sigma**2 / 2.0
+    return max(1, int(round(rng.lognormal(mu, stage.n_tasks_sigma))))
+
+
+def reference_task_params(op, n_tasks, rng, work_scale=1.0, data_scale=1.0):
+    work_mu = np.log(op.work_mean_s * work_scale) - op.work_sigma**2 / 2.0
+    data_mu = np.log(op.data_mean_bytes * data_scale) - op.data_sigma**2 / 2.0
+    work = rng.lognormal(mean=work_mu, sigma=op.work_sigma, size=n_tasks)
+    data = rng.lognormal(mean=data_mu, sigma=op.data_sigma, size=n_tasks)
+    ram = np.maximum(
+        0.25, rng.normal(op.ram_gb_per_container, op.ram_gb_per_container * 0.2, n_tasks)
+    )
+    ssd = np.maximum(
+        0.5, rng.normal(op.ssd_gb_per_container, op.ssd_gb_per_container * 0.2, n_tasks)
+    )
+    return work, data, ram, ssd
+
+
+def one_stage_job(stage):
+    """A job of one ``stage`` with no size variance (so it draws nothing)."""
+    template = JobTemplate(name="one-stage", stages=(stage,), size_sigma=0.0)
+    return JobRuntime(0, template, 0.0, normal_stream(np.random.default_rng(0)))
 
 
 class TestOperators:
@@ -36,23 +76,92 @@ class TestOperators:
         with pytest.raises(KeyError):
             operator_by_name("Shuffle")
 
+    @staticmethod
+    def _stage(op_name, **scales):
+        job = one_stage_job(StageSpec(op_name, n_tasks_mean=20000, n_tasks_sigma=0.0, **scales))
+        return job.start_next_stage(normal_stream(np.random.default_rng(0)))
+
     def test_sampling_mean_matches_spec(self):
         op = operator_by_name("Process")
-        rng = np.random.default_rng(0)
-        work, data, ram, ssd = sample_task_params(op, 20000, rng)
+        tasks = self._stage("Process")
+        work = np.array([t.work_seconds for t in tasks])
+        data = np.array([t.data_bytes for t in tasks])
         assert work.mean() == pytest.approx(op.work_mean_s, rel=0.05)
         assert data.mean() == pytest.approx(op.data_mean_bytes, rel=0.05)
-        assert (ram > 0).all() and (ssd > 0).all()
+        assert all(t.ram_gb > 0 and t.ssd_gb > 0 for t in tasks)
 
     def test_work_scale_multiplies(self):
         op = operator_by_name("Process")
-        rng = np.random.default_rng(0)
-        work, *_ = sample_task_params(op, 20000, rng, work_scale=2.0)
+        work = np.array([t.work_seconds for t in self._stage("Process", work_scale=2.0)])
         assert work.mean() == pytest.approx(2.0 * op.work_mean_s, rel=0.05)
 
     def test_zero_tasks_rejected(self):
         with pytest.raises(ValueError):
-            sample_task_params(operator_by_name("Split"), 0, np.random.default_rng(0))
+            StageSpec("Split", n_tasks_mean=0)
+        # A size multiplier that shrinks the mean below one still yields a task.
+        job = one_stage_job(StageSpec("Split", n_tasks_mean=1, n_tasks_sigma=0.0))
+        job.size_multiplier = 0.1
+        assert len(job.start_next_stage(normal_stream(np.random.default_rng(0)))) == 1
+
+
+class TestNormalStream:
+    """Stages built from normal_stream equal the per-stage numpy reference."""
+
+    TEMPLATES = default_templates() + benchmark_templates() + (
+        # size_sigma=0 draws no multiplier; 6,000 normals span two refills.
+        JobTemplate(
+            name="wide",
+            stages=(StageSpec("Cross", n_tasks_mean=1500, n_tasks_sigma=0.0,
+                              work_scale=1.1, data_scale=0.7),),
+            size_sigma=0.0,
+        ),
+    )
+
+    @staticmethod
+    def _bits(values):
+        return np.asarray(values, dtype=np.float64).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 5, 2021])
+    def test_stages_match_numpy_reference(self, seed):
+        stream = normal_stream(np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        # Three normals short of the first refill, so the first stage's
+        # draws straddle a block boundary.
+        assert list(islice(stream, BLOCK - 3)) == rng.standard_normal(BLOCK - 3).tolist()
+        stages = 0
+        for _ in range(4):
+            for template in self.TEMPLATES:
+                job = JobRuntime(0, template, 0.0, stream)
+                size = reference_size_multiplier(template, rng)
+                assert job.size_multiplier == size
+                for spec in template.stages:
+                    tasks = job.start_next_stage(stream)
+                    n = reference_n_tasks(spec, rng, size)
+                    work, data, ram, ssd = reference_task_params(
+                        operator_by_name(spec.operator), n, rng,
+                        work_scale=spec.work_scale, data_scale=spec.data_scale,
+                    )
+                    assert len(tasks) == n
+                    assert self._bits([t.work_seconds for t in tasks]) == self._bits(work)
+                    assert self._bits([t.data_bytes for t in tasks]) == self._bits(data)
+                    assert self._bits([t.ram_gb for t in tasks]) == self._bits(ram)
+                    assert self._bits([t.ssd_gb for t in tasks]) == self._bits(ssd)
+                    for _ in tasks:
+                        job.on_task_finish(0.0, 1.0, -1)
+                    stages += 1
+        assert stages == 4 * sum(len(t.stages) for t in self.TEMPLATES)
+        # Both sides consumed the same number of normals.
+        assert next(stream) == rng.standard_normal()
+
+    def test_libm_exp_matches_numpy_lognormal(self):
+        """numpy's lognormal is libm ``exp(mu + sigma * z)``; normal is
+        ``loc + scale * z``. A platform where either differs fails here."""
+        (_, _, mu, sigma, _, _, loc, scale, _, _) = StageSpec("Process", n_tasks_mean=1).draw
+        z = np.random.default_rng(3).standard_normal(BLOCK).tolist()
+        lognormal = np.random.default_rng(3).lognormal(mu, sigma, BLOCK)
+        normal = np.random.default_rng(3).normal(loc, scale, BLOCK)
+        assert self._bits([math.exp(mu + sigma * x) for x in z]) == self._bits(lognormal)
+        assert self._bits([loc + scale * x for x in z]) == self._bits(normal)
 
 
 class TestTask:
@@ -61,34 +170,30 @@ class TestTask:
     @staticmethod
     def _job():
         template = default_templates()[0]
-        return JobRuntime(0, template, 0.0, np.random.default_rng(0))
+        return JobRuntime(0, template, 0.0, normal_stream(np.random.default_rng(0)))
 
     def test_validation(self, monkeypatch):
         import repro.workload.job as job_module
 
-        def sampler(bad_work, bad_data):
-            def sample(op, n_tasks, rng, work_scale=1.0, data_scale=1.0):
-                work = np.full(n_tasks, 10.0)
-                data = np.full(n_tasks, 1e9)
-                work[-1], data[-1] = bad_work, bad_data
-                return work, data, np.ones(n_tasks), np.ones(n_tasks)
-            return sample
-
+        n = 4
         for bad_work, bad_data in ((-1.0, 1e9), (np.nan, 1e9), (10.0, -1.0)):
-            monkeypatch.setattr(
-                job_module, "sample_task_params", sampler(bad_work, bad_data)
-            )
+            job = one_stage_job(StageSpec("Extract", n_tasks_mean=n, n_tasks_sigma=0.0))
+            # The stage's log-normal values come out of ``exp``: its n work
+            # values first, then its n data values.
+            values = iter([10.0] * (n - 1) + [bad_work] + [1e9] * (n - 1) + [bad_data])
+            monkeypatch.setattr(job_module, "exp", lambda _x, values=values: next(values))
             with pytest.raises(ValueError):
-                self._job().start_next_stage(np.random.default_rng(1))
+                job.start_next_stage(normal_stream(np.random.default_rng(1)))
         with pytest.raises(ValueError):
             replace(operator_by_name("Process"), cpu_fraction=1.5)
 
     def test_stage_tasks_carry_their_job_and_plain_floats(self):
         job = self._job()
-        tasks = job.start_next_stage(np.random.default_rng(1))
+        tasks = job.start_next_stage(normal_stream(np.random.default_rng(1)))
         assert job.remaining_in_stage == len(tasks) > 0
         assert all(task.job is job for task in tasks)
         assert all(type(task.work_seconds) is float for task in tasks)
+        assert all(type(task.ram_gb) is float for task in tasks)
         assert all(task.carried_wait == 0.0 for task in tasks)
         assert not hasattr(tasks[0], "__dict__")  # plain slotted class
 
@@ -109,15 +214,17 @@ class TestTemplates:
 
     def test_stage_task_count_sampling(self):
         stage = StageSpec("Process", n_tasks_mean=10, n_tasks_sigma=0.0)
-        rng = np.random.default_rng(0)
-        assert stage.sample_n_tasks(rng) == 10
-        assert stage.sample_n_tasks(rng, size_mult=2.0) == 20
+        stream = normal_stream(np.random.default_rng(0))
+        assert len(one_stage_job(stage).start_next_stage(stream)) == 10
+        job = one_stage_job(stage)
+        job.size_multiplier = 2.0
+        assert len(job.start_next_stage(stream)) == 20
 
     def test_stochastic_count_at_least_one(self):
         stage = StageSpec("Process", n_tasks_mean=1.2, n_tasks_sigma=0.8)
-        rng = np.random.default_rng(0)
-        counts = [stage.sample_n_tasks(rng) for _ in range(200)]
-        assert min(counts) >= 1
+        stream = normal_stream(np.random.default_rng(0))
+        counts = [len(one_stage_job(stage).start_next_stage(stream)) for _ in range(200)]
+        assert min(counts) >= 1 and len(set(counts)) > 1
 
     def test_template_needs_stages(self):
         with pytest.raises(ValueError):
