@@ -10,7 +10,10 @@ workload generation happen before the profiler starts.
 It then runs the same window again with ``profile=True``, as every pool
 window runs (a recording tracer is always active there), and prints the
 ``perf_counter`` calls per started task that the simulator's phase
-profiling adds.
+profiling adds. Last, it prints the same clock figure on a saturated
+window that queues and defers: the inputs of the ``queue-overload`` golden
+scenario (small fleet, 1 h, 300 jobs/h, seed 41, limits 2 running / 2
+queued), where placements happen one task at a time as slots free.
 
 The count is deterministic for a given seed and interpreter, so it does not
 depend on host speed; the self times do.
@@ -26,7 +29,8 @@ import argparse
 import cProfile
 import pstats
 
-from repro.cluster import ClusterSimulator, build_cluster, default_fleet_spec
+from repro.cluster import ClusterSimulator, build_cluster, default_fleet_spec, small_fleet_spec
+from repro.cluster.config import GroupLimits, YarnConfig
 from repro.utils.rng import RngStreams
 from repro.workload import WorkloadGenerator, default_templates, estimate_jobs_per_hour
 from repro.workload.seasonality import SeasonalityProfile
@@ -61,11 +65,38 @@ def profile_window(seed: int, profile: bool | None = None) -> tuple[pstats.Stats
     simulator = ClusterSimulator(
         cluster, workload, streams=streams.spawn("sim"), profile=profile
     )
+    return _profiled_run(simulator, HOURS)
+
+
+def profile_saturated_window() -> tuple[pstats.Stats, int]:
+    """Profile the ``queue-overload`` golden scenario's run with ``profile=True``."""
+    config = YarnConfig(
+        default_limits=GroupLimits(max_running_containers=2, max_queued_containers=2)
+    )
+    workload = WorkloadGenerator(
+        default_templates(), jobs_per_hour=300.0, streams=RngStreams(41)
+    ).generate(1.0)
+    simulator = ClusterSimulator(
+        build_cluster(small_fleet_spec(), config), workload,
+        streams=RngStreams(42), profile=True,
+    )
+    return _profiled_run(simulator, 1.0)
+
+
+def _profiled_run(simulator: ClusterSimulator, hours: float) -> tuple[pstats.Stats, int]:
     profiler = cProfile.Profile()
     profiler.enable()
-    result = simulator.run(HOURS)
+    result = simulator.run(hours)
     profiler.disable()
     return pstats.Stats(profiler), result.tasks_started
+
+
+def _clock_calls(stats: pstats.Stats) -> int:
+    return sum(
+        calls
+        for func, (_prim, calls, _self_s, _cum_s, _callers) in stats.stats.items()
+        if func[2].endswith("perf_counter>")
+    )
 
 
 def _label(func: tuple[str, int, str]) -> str:
@@ -96,13 +127,14 @@ def main(argv: list[str] | None = None) -> None:
                   f"{_label(func)}")
 
     stats, tasks = profile_window(args.seed, profile=True)
-    clock_calls = sum(
-        calls
-        for func, (_prim, calls, _self_s, _cum_s, _callers) in stats.stats.items()
-        if func[2].endswith("perf_counter>")
-    )
+    clock_calls = _clock_calls(stats)
     print(f"\nprofile=True: {stats.total_calls / tasks:.2f} calls per task, "
           f"{clock_calls:,} perf_counter calls, {clock_calls / tasks:.2f} per task")
+
+    stats, tasks = profile_saturated_window()
+    clock_calls = _clock_calls(stats)
+    print(f"saturated window (queue-overload inputs), profile=True: {tasks:,} tasks "
+          f"started, {clock_calls:,} perf_counter calls, {clock_calls / tasks:.2f} per task")
 
 
 if __name__ == "__main__":

@@ -285,16 +285,17 @@ class ClusterSimulator:
         """
         scheduler = self.scheduler
         now = self.now
+        # One task per _place call: counted, not timed (see SimulatorProfile).
         for machine in machines:
             while machine.queue and machine.has_free_slot:
                 task, task.carried_wait = machine.dequeue(now)
-                self._place((task,), machine)
+                self._place((task,), machine, timed=False)
             scheduler.refresh_machine(machine)
         pending = self.rm_pending
         while pending and not scheduler.saturated:
             task, deferred_at = pending.popleft()
             task.carried_wait += now - deferred_at
-            self._place((task,))
+            self._place((task,), timed=False)
 
     def run(self, duration_hours: float) -> SimulationResult:
         """Simulate ``duration_hours`` hours and return the collected telemetry."""
@@ -405,13 +406,16 @@ class ClusterSimulator:
         self.result.jobs_submitted += 1
         self._place(job.start_next_stage(self._stages))
 
-    def _place(self, tasks: Iterable[Task], host: Machine | None = None) -> None:
+    def _place(
+        self, tasks: Iterable[Task], host: Machine | None = None, timed: bool = True
+    ) -> None:
         """The one placement loop: start, queue or defer each task in order.
 
         Without ``host`` each task starts on a uniformly drawn free machine,
         joins a random machine's queue, or, when no machine has either,
         joins the RM-pending FIFO with no event. With ``host`` the tasks were
         just dequeued from it (the wait in ``carried_wait``) and start there.
+        A profiled run reads the clock around the call only when ``timed``.
         """
         now = self.now
         result = self.result
@@ -427,7 +431,8 @@ class ClusterSimulator:
         profiling = self._profiling
         if profiling:
             queued0 = result.tasks_queued
-            tick = perf_counter()  # repro: allow[REP001] obs-gated profiling
+            if timed:
+                tick = perf_counter()  # repro: allow[REP001] obs-gated profiling
         started = 0
         for task in tasks:
             wait = task.carried_wait
@@ -478,8 +483,9 @@ class ClusterSimulator:
         self._seq = seq
         result.tasks_started += started
         if profiling:
-            # repro: allow[REP001] obs-gated profiling: attribution only, never enters simulation state
-            result.profile.placement_seconds += perf_counter() - tick
+            if timed:
+                # repro: allow[REP001] obs-gated profiling: attribution only, never enters simulation state
+                result.profile.placement_seconds += perf_counter() - tick
             if host is None:  # every task not deferred went through scheduler.place
                 result.profile.placements += started + result.tasks_queued - queued0
 

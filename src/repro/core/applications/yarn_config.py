@@ -98,7 +98,6 @@ class YarnConfigTuner:
         delta_range: float = 4.0,
         max_config_step: int = 1,
         utilization_cap: float = 0.95,
-        lp_method: str = "simplex",
     ):
         """``delta_range`` bounds the LP's per-group container change;
         ``max_config_step`` bounds the *deployed* config change (the paper's
@@ -113,7 +112,6 @@ class YarnConfigTuner:
         self.delta_range = delta_range
         self.max_config_step = max_config_step
         self.utilization_cap = utilization_cap
-        self.lp_method = lp_method
 
     def tune(self, cluster: Cluster) -> YarnTuningResult:
         """Run the optimization for all calibrated groups present in the cluster."""
@@ -155,7 +153,7 @@ class YarnConfigTuner:
             rhs += weights[group] * (point.task_latency - latency_terms[group][1])
         lp.add_constraint("cluster-average-latency", coeffs, "<=", rhs)
 
-        solution = lp.solve(method=self.lp_method)
+        solution = lp.solve()
         if not solution.is_optimal:
             raise OptimizationError(
                 f"YARN tuning LP did not solve to optimality: {solution.status}"

@@ -4,16 +4,19 @@
 :class:`~repro.cluster.simulator.ClusterSimulator` fills while its event loop
 runs, splitting the run's wall-clock into three phases:
 
-* **placement** — every ``_place`` call: the loop that starts, queues or
-  defers a batch of tasks;
+* **placement** — the placement loop for arrivals, stage starts and crash
+  requeues: one ``_place`` call starts, queues or defers a batch of tasks;
 * **event processing** — the rest of the event loop (heap pops included),
-  *excluding* the placement work nested inside it;
+  *excluding* that placement work. It includes the one-task placements
+  ``capacity_changed`` makes when a slot or queue space frees (a machine's
+  queue drain, the RM-pending FIFO), like the FINISH that freed the slot:
+  timing them would read the clock per task on a saturated window;
 * **telemetry rollup** — hourly machine-record flushes and utilization
   sampling.
 
 The simulator reads the clock around the event loop, each telemetry
-dispatch and each ``_place`` call, never per event or placement; set-up
-outside the loop is left to the ``simulator.overhead`` remainder.
+dispatch and each timed ``_place`` call, never per event or placement;
+set-up outside the loop is left to the ``simulator.overhead`` remainder.
 
 The profile is plain data (picklable, mergeable); it crosses the pool
 boundary on ``SimulationResult`` and :func:`attach_profile_spans` renders it
@@ -36,10 +39,11 @@ class SimulatorProfile:
     """Wall-clock attribution of one simulator run, by phase.
 
     ``event_seconds`` is the event loop outside telemetry dispatches,
-    placement included — :meth:`as_phases` subtracts the nested placement
-    time so the three reported phases are disjoint. ``placements`` counts
-    ``scheduler.place`` calls; ``events`` counts dispatched non-telemetry
-    events, cancelled FINISH entries included.
+    placement included — :meth:`as_phases` subtracts the nested (timed)
+    placement time so the three reported phases are disjoint.
+    ``placements`` counts every ``scheduler.place`` call, timed or not;
+    ``events`` counts dispatched non-telemetry events, cancelled FINISH
+    entries included.
     """
 
     placement_seconds: float = 0.0

@@ -2,8 +2,10 @@
 
 KEA's Optimizer step formulates Eq. 7–10 as an LP; this builder keeps the
 formulation readable (variables named after machine groups, constraints named
-after what they protect) and solves with either the from-scratch simplex or
-scipy (for cross-checking).
+after what they protect) and solves it with the from-scratch simplex
+(:mod:`repro.optim.simplex`). It does not use ``scipy.optimize``: importing
+it roughly doubles a tuning run's peak memory, and the tests cross-check the
+simplex against ``scipy.optimize.linprog`` instead.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.optim.simplex import SimplexResult, simplex_solve
+from repro.optim.simplex import simplex_solve
 from repro.utils.errors import OptimizationError
 
 __all__ = ["LinearProgram", "LpSolution"]
@@ -126,25 +128,20 @@ class LinearProgram:
         a_eq = np.array(a_eq_rows) if a_eq_rows else None
         return c, a_ub, np.array(b_ub), a_eq, np.array(b_eq), lower, upper
 
-    def solve(self, method: str = "simplex") -> LpSolution:
-        """Solve the LP with ``'simplex'`` (from scratch) or ``'scipy'``."""
+    def solve(self) -> LpSolution:
+        """Solve the LP with the from-scratch simplex."""
         if not self._variables:
             raise OptimizationError("the LP has no variables")
         c, a_ub, b_ub, a_eq, b_eq, lower, upper = self._matrices()
-        if method == "simplex":
-            result = simplex_solve(
-                c,
-                a_ub=a_ub,
-                b_ub=b_ub if a_ub is not None else None,
-                a_eq=a_eq,
-                b_eq=b_eq if a_eq is not None else None,
-                lower=lower,
-                upper=upper,
-            )
-        elif method == "scipy":
-            result = self._solve_scipy(c, a_ub, b_ub, a_eq, b_eq, lower, upper)
-        else:
-            raise OptimizationError(f"unknown LP method {method!r}")
+        result = simplex_solve(
+            c,
+            a_ub=a_ub,
+            b_ub=b_ub if a_ub is not None else None,
+            a_eq=a_eq,
+            b_eq=b_eq if a_eq is not None else None,
+            lower=lower,
+            upper=upper,
+        )
         values = {
             name: float(result.x[i]) if result.is_optimal else float("nan")
             for i, name in enumerate(self._variables)
@@ -155,21 +152,3 @@ class LinearProgram:
             status=result.status,
             n_pivots=result.n_pivots,
         )
-
-    @staticmethod
-    def _solve_scipy(c, a_ub, b_ub, a_eq, b_eq, lower, upper) -> SimplexResult:
-        from scipy.optimize import linprog
-
-        res = linprog(
-            -c,  # scipy minimizes
-            A_ub=a_ub,
-            b_ub=b_ub if a_ub is not None else None,
-            A_eq=a_eq,
-            b_eq=b_eq if a_eq is not None else None,
-            bounds=list(zip(lower, upper, strict=True)),
-            method="highs",
-        )
-        if res.status == 0:
-            return SimplexResult(res.x, float(c @ res.x), "optimal", res.nit)
-        status = "infeasible" if res.status == 2 else "unbounded" if res.status == 3 else "error"
-        return SimplexResult(np.full(c.size, np.nan), np.nan, status, res.nit)

@@ -1,37 +1,34 @@
-"""Pluggable execution backends: where a beat's simulation batch runs.
+"""Pluggable execution backends: where a beat's simulation windows run.
 
 Production KEA dispatches the same work to whatever substrate the
 deployment offers — an in-process loop, a process pool, a durable task
 queue drained by restartable workers — so the service schedules through an
-:class:`ExecutionBackend`:
+:class:`ExecutionBackend`.
 
-* :class:`ProcessPoolBackend` — schedules *windows*, not requests: an
-  observe or flight request is one window, a rollout, resume or impact
-  request two (a baseline and a treatment replaying one workload tag).
-  A batch of one window, or any batch at ``max_workers=1`` (the
-  bit-identity reference and the service default), runs inline in the
-  calling process; otherwise every window is its own pool task, and a
-  two-window request's outcome is assembled once both windows returned;
-* :class:`LocalQueueBackend` — persists every
-  :class:`~repro.service.pool.SimulationRequest` as a file in a spool
+The unit of execution is the *window*: an observe or flight request is one
+window, a rollout, resume or impact request two (a baseline and a treatment
+replaying one workload tag). :meth:`ExecutionBackend.run` is the one batch
+loop: it checks each request, runs the batch's windows through the backend,
+merges the ops metrics each window recorded in its worker, pairs every
+request's windows into its outcome, and keeps the salvage contract — a
+failing request never destroys its siblings. A backend implements only
+:meth:`ExecutionBackend._run_windows`:
+
+* :class:`ProcessPoolBackend` — a batch of one window, or any batch at
+  ``max_workers=1`` (the bit-identity reference and the service default),
+  runs inline in the calling process; otherwise every window is its own
+  pool task;
+* :class:`LocalQueueBackend` — persists every window as a file in a spool
   directory and drains it with restartable worker *processes* that claim
   tasks by atomic rename. A worker (or the whole service) can die
-  mid-batch; re-running the batch reuses every result that already landed
+  mid-batch; re-running the batch reuses every window that already landed
   in ``done/`` and re-executes only what is missing.
 
-The queue backend spools whole requests, each run by
-:func:`~repro.service.pool.execute_request` (its windows one after the
-other). Both honour the salvage contract: a failing request never destroys
-its siblings — the batch runs to completion, then a
-:class:`~repro.service.pool.SimulationBatchError` carries the completed
-outcomes (None at failed slots) and the (request, exception) pairs.
-Because every request is a self-contained picklable recipe, and every
-window is executed by :func:`~repro.service.pool.execute_window` and paired
-by :func:`~repro.service.pool.assemble`, every execution is bit-identical:
-same requests in, same outcomes out, wherever they ran.
-Worker-side span trees ride back on ``outcome.timing.trace`` from either
-backend, so the orchestrator's beat trace is backend-agnostic. Both record
-one ``backend.*`` ops-metric family, labelled by :attr:`ExecutionBackend.name`.
+Every window is a self-contained picklable recipe run by
+:func:`~repro.service.pool.execute_window`, so every execution is
+bit-identical wherever it ran, and its span tree rides back on
+``outcome.timing.trace``. Both backends record one ``backend.*`` ops-metric
+family, labelled by :attr:`ExecutionBackend.name`.
 """
 
 from __future__ import annotations
@@ -44,11 +41,12 @@ import threading
 import time
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from functools import partial
 from hashlib import sha256
 from pathlib import Path
 
-from repro.obs.metrics import OPS_METRICS
+from repro.obs.metrics import OPS_METRICS, MetricsRegistry
 from repro.service.pool import (
     SimulationBatchError,
     SimulationOutcome,
@@ -56,7 +54,6 @@ from repro.service.pool import (
     WindowOutcome,
     assemble,
     check_request,
-    execute_request,
     execute_window,
     window_count,
 )
@@ -73,9 +70,8 @@ __all__ = [
 class ExecutionBackend(abc.ABC):
     """Where the service's simulation batches execute.
 
-    The contract: preserve input order, run a poisoned batch to completion,
-    then raise :class:`~repro.service.pool.SimulationBatchError` with the
-    siblings' outcomes attached. ``executed`` counts requests actually
+    :meth:`run` is the one batch loop; a backend implements only window
+    execution, :meth:`_run_windows`. ``executed`` counts requests actually
     simulated (cache hits never reach a backend; a queue backend reusing a
     spooled result does not re-count it).
     """
@@ -84,14 +80,81 @@ class ExecutionBackend(abc.ABC):
     #: ``backend`` metric label and surfaced on fleet reports.
     name: str = "backend"
 
+    _executed = 0  # subclasses add to it under their own lock
+
     @property
-    @abc.abstractmethod
     def executed(self) -> int:
         """Requests this backend actually simulated (lifetime total)."""
+        return self._executed
 
     @abc.abstractmethod
+    def _run_windows(
+        self, requests: list[SimulationRequest], tasks: list[tuple[int, int]]
+    ) -> list[WindowOutcome | Exception]:
+        """Run window ``index`` of ``requests[slot]`` for every
+        ``(slot, index)`` task; return, in task order, each window's
+        outcome or the exception it raised."""
+
     def run(self, requests: list[SimulationRequest]) -> list[SimulationOutcome]:
-        """Execute a batch, preserving input order in the outcomes."""
+        """Execute a batch, preserving input order in the outcomes.
+
+        Every request is checked before any window runs. A window that
+        raises fails only its own request, and every request runs to
+        completion before a :class:`~repro.service.pool.SimulationBatchError`
+        carries the siblings' outcomes (None at failed slots) and the
+        (request, exception) pairs.
+        """
+        if not requests:
+            return []
+        OPS_METRICS.counter("backend.batches", backend=self.name).inc()
+        OPS_METRICS.histogram("backend.batch_fanout", backend=self.name).observe(
+            len(requests)
+        )
+        errors: dict[int, Exception] = {}
+        tasks: list[tuple[int, int]] = []  # (request slot, window index)
+        for slot, request in enumerate(requests):
+            try:
+                check_request(request)
+            except Exception as exc:
+                errors[slot] = exc
+                continue
+            tasks.extend((slot, index) for index in range(window_count(request)))
+        windows: dict[int, list[WindowOutcome]] = defaultdict(list)
+        for (slot, _index), window in zip(
+            tasks, self._run_windows(requests, tasks), strict=True
+        ):
+            if isinstance(window, Exception):
+                errors.setdefault(slot, window)
+                continue
+            OPS_METRICS.merge(window.metrics)
+            windows[slot].append(window)
+        outcomes: list[SimulationOutcome | None] = []
+        failures: list[tuple[SimulationRequest, Exception]] = []
+        for slot, request in enumerate(requests):
+            try:
+                if slot in errors:
+                    raise errors[slot]
+                outcome = assemble(request, windows[slot])
+            except Exception as exc:  # re-raised below, with the siblings
+                outcomes.append(None)
+                failures.append((request, exc))
+                OPS_METRICS.counter(
+                    "backend.failures", backend=self.name, kind=request.kind
+                ).inc()
+                continue
+            outcomes.append(outcome)
+            OPS_METRICS.histogram(
+                "backend.request_seconds", backend=self.name, kind=outcome.kind
+            ).observe(outcome.timing.elapsed_seconds)
+        if failures:
+            request, exc = failures[0]
+            raise SimulationBatchError(
+                f"simulation request failed (tenant={request.tenant!r}, "
+                f"kind={request.kind!r}): {exc}",
+                outcomes=outcomes,
+                failures=failures,
+            ) from exc
+        return outcomes  # type: ignore[return-value]
 
     def shutdown(self) -> None:
         """Release any workers/resources (idempotent)."""
@@ -105,41 +168,6 @@ class ExecutionBackend(abc.ABC):
 
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
-
-    # ------------------------------------------------------------------
-    # Shared bookkeeping
-    # ------------------------------------------------------------------
-    def _record_batch(self, requests: list[SimulationRequest]) -> None:
-        """Per-backend ops counters for one dispatched batch."""
-        OPS_METRICS.counter("backend.batches", backend=self.name).inc()
-        OPS_METRICS.histogram("backend.batch_fanout", backend=self.name).observe(
-            len(requests)
-        )
-
-    def _finish_batch(
-        self,
-        outcomes: list[SimulationOutcome | None],
-        failures: list[tuple[SimulationRequest, Exception]],
-    ) -> list[SimulationOutcome]:
-        """Record timings, then return or raise per the salvage contract."""
-        for outcome in outcomes:
-            if outcome is not None:
-                OPS_METRICS.histogram(
-                    "backend.request_seconds", backend=self.name, kind=outcome.kind
-                ).observe(outcome.timing.elapsed_seconds)
-        if failures:
-            for request, _exc in failures:
-                OPS_METRICS.counter(
-                    "backend.failures", backend=self.name, kind=request.kind
-                ).inc()
-            request, exc = failures[0]
-            raise SimulationBatchError(
-                f"simulation request failed (tenant={request.tenant!r}, "
-                f"kind={request.kind!r}): {exc}",
-                outcomes=outcomes,
-                failures=failures,
-            ) from exc
-        return outcomes  # type: ignore[return-value]
 
 
 class ProcessPoolBackend(ExecutionBackend):
@@ -160,15 +188,10 @@ class ProcessPoolBackend(ExecutionBackend):
         if max_workers < 1:
             raise ServiceError(f"max_workers must be >= 1, got {max_workers}")
         self.max_workers = max_workers
-        self._executed = 0
         self._executor: ProcessPoolExecutor | None = None
         # Guards the counter and lazy executor creation and release: sharded
         # front-ends drive one backend from several threads.
         self._lock = threading.Lock()
-
-    @property
-    def executed(self) -> int:
-        return self._executed
 
     @property
     def pool(self) -> "ProcessPoolBackend":
@@ -176,29 +199,11 @@ class ProcessPoolBackend(ExecutionBackend):
         which warms its workers with ``backend.pool.run(...)``."""
         return self
 
-    def run(self, requests: list[SimulationRequest]) -> list[SimulationOutcome]:
-        """Execute a batch, preserving input order in the outcomes.
-
-        Every request is checked before any window is dispatched; each
-        window then runs inline or as its own pool task, and a request's
-        outcome is assembled once all its windows returned. A window that
-        raises fails only its own request, and every request runs to
-        completion before any failure is raised, inline or pooled alike.
-        """
-        if not requests:
-            return []
+    def _run_windows(
+        self, requests: list[SimulationRequest], tasks: list[tuple[int, int]]
+    ) -> list[WindowOutcome | Exception]:
         with self._lock:
             self._executed += len(requests)
-        self._record_batch(requests)
-        errors: dict[int, Exception] = {}
-        tasks: list[tuple[int, int]] = []  # (request slot, window index)
-        for slot, request in enumerate(requests):
-            try:
-                check_request(request)
-            except Exception as exc:
-                errors[slot] = exc
-                continue
-            tasks.extend((slot, index) for index in range(window_count(request)))
         # One call per window, yielding its result: an inline run, or the
         # result of a future already submitted to the pool.
         if self.max_workers == 1 or len(tasks) <= 1:
@@ -214,26 +219,13 @@ class ProcessPoolBackend(ExecutionBackend):
                 executor.submit(execute_window, requests[slot], index).result
                 for slot, index in tasks
             ]
-        windows: dict[int, list[WindowOutcome]] = defaultdict(list)
-        for (slot, _index), call in zip(tasks, calls, strict=True):
+        windows: list[WindowOutcome | Exception] = []
+        for call in calls:
             try:
-                window = call()
-            except Exception as exc:
-                errors.setdefault(slot, exc)
-                continue
-            OPS_METRICS.merge(window.metrics)
-            windows[slot].append(window)
-        outcomes: list[SimulationOutcome | None] = []
-        failures: list[tuple[SimulationRequest, Exception]] = []
-        for slot, request in enumerate(requests):
-            try:
-                if slot in errors:
-                    raise errors[slot]
-                outcomes.append(assemble(request, windows[slot]))
-            except Exception as exc:  # re-raised by _finish_batch
-                outcomes.append(None)
-                failures.append((request, exc))
-        return self._finish_batch(outcomes, failures)
+                windows.append(call())
+            except Exception as exc:  # fails only this window's request
+                windows.append(exc)
+        return windows
 
     def shutdown(self) -> None:
         """Release the worker processes (idempotent and thread-safe).
@@ -248,15 +240,15 @@ class ProcessPoolBackend(ExecutionBackend):
             executor.shutdown()
 
 
-def queue_task_id(request: SimulationRequest) -> str:
-    """Deterministic spool filename stem for one request.
+def queue_task_id(request: SimulationRequest, index: int) -> str:
+    """Deterministic spool filename stem for window ``index`` of a request.
 
-    Derived from the request's complete cache key, so a re-enqueued request
+    Derived from the request's complete cache key, so a re-enqueued window
     (a retried batch, a restarted service) lands on the same task file and
     can reuse a result an earlier drain already produced.
     """
     tenant, digest, tag = request.cache_key()
-    return sha256(f"{tenant}|{digest}|{tag}".encode()).hexdigest()[:24]
+    return sha256(f"{tenant}|{digest}|{tag}|{index}".encode()).hexdigest()[:24]
 
 
 def _atomic_write(path: Path, blob: bytes) -> None:
@@ -271,10 +263,11 @@ def _drain_worker(spool: str) -> None:
 
     Claims by atomically renaming ``pending/<id>.pkl`` to
     ``claimed/<id>.pkl`` (the rename either succeeds for exactly one worker
-    or raises), executes the request, and lands the pickled outcome in
-    ``done/<id>.out.pkl`` — or the pickled exception in ``done/<id>.err.pkl``
-    — via write-then-rename. Exits when the pending directory is empty.
-    A worker killed mid-task leaves its claim file behind; the collector
+    or raises), executes the spooled ``(request, window index)`` with
+    :func:`~repro.service.pool.execute_window`, and lands the pickled
+    :class:`~repro.service.pool.WindowOutcome` in ``done/<id>.out.pkl`` — or
+    the pickled exception in ``done/<id>.err.pkl`` — via write-then-rename.
+    Exits when the pending directory is empty. A worker killed mid-task leaves its claim file behind; the collector
     requeues the task and a fresh worker re-executes it (execution is
     deterministic, so a replay is indistinguishable from the first run).
     """
@@ -296,9 +289,9 @@ def _drain_worker(spool: str) -> None:
             progressed = True
             task_id = entry.stem
             try:
-                request = pickle.loads(claim.read_bytes())
-                outcome = execute_request(request)
-                blob = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
+                request, index = pickle.loads(claim.read_bytes())
+                window = execute_window(request, index)
+                blob = pickle.dumps(window, protocol=pickle.HIGHEST_PROTOCOL)
                 _atomic_write(done / f"{task_id}.out.pkl", blob)
             except Exception as exc:
                 try:
@@ -316,15 +309,17 @@ def _drain_worker(spool: str) -> None:
 class LocalQueueBackend(ExecutionBackend):
     """File-spooled task queue drained by restartable worker processes.
 
-    Every request is persisted to ``<spool>/pending/<task_id>.pkl`` before
+    Every window is persisted to ``<spool>/pending/<task_id>.pkl`` before
     any worker starts, so the batch survives the orchestrator: a service
     killed mid-drain leaves the spool behind, and the re-run of the same
     batch (task ids are deterministic — :func:`queue_task_id`) reuses every
-    ``done/`` result and re-executes only what is missing. Workers claim
+    ``done/`` window and re-executes only what is missing. Workers claim
     tasks by atomic rename, so any number of them can drain one spool
-    without coordination; a worker that dies mid-task is detected by the
+    without coordination (a two-window request's windows run in two
+    workers at once); a worker that dies mid-task is detected by the
     collector, its task requeued, and a replacement spawned (bounded by
-    ``max_attempts``).
+    ``max_attempts``). ``executed`` counts a request when at least one of
+    its windows was freshly spooled.
     """
 
     name = "queue"
@@ -344,7 +339,6 @@ class LocalQueueBackend(ExecutionBackend):
         self.workers = workers
         self.poll_interval = poll_interval
         self.max_attempts = max_attempts
-        self._executed = 0
         self._lock = threading.Lock()
         # Live workers across all in-flight batches (a sharded front-end
         # may drain several batches concurrently); each run() manages its
@@ -352,10 +346,6 @@ class LocalQueueBackend(ExecutionBackend):
         self._procs: list[multiprocessing.Process] = []
         for sub in ("pending", "claimed", "done"):
             (self.spool / sub).mkdir(parents=True, exist_ok=True)
-
-    @property
-    def executed(self) -> int:
-        return self._executed
 
     # ------------------------------------------------------------------
     # Spool paths
@@ -411,20 +401,20 @@ class LocalQueueBackend(ExecutionBackend):
             proc.join()
 
     # ------------------------------------------------------------------
-    # Batch execution
+    # Window execution
     # ------------------------------------------------------------------
-    def run(self, requests: list[SimulationRequest]) -> list[SimulationOutcome]:
-        if not requests:
-            return []
-        self._record_batch(requests)
-        ids = [queue_task_id(request) for request in requests]
+    def _run_windows(
+        self, requests: list[SimulationRequest], tasks: list[tuple[int, int]]
+    ) -> list[WindowOutcome | Exception]:
+        ids = [queue_task_id(requests[slot], index) for slot, index in tasks]
 
-        # Enqueue: spool every request not already satisfied by a prior
+        # Enqueue: spool every window not already satisfied by a prior
         # drain. A stale claim (a dead run's half-executed task) or error
         # file is cleared so this run retries it fresh.
         fresh: dict[str, bytes] = {}
         reused: set[str] = set()
-        for request, task_id in zip(requests, ids, strict=True):
+        spooled_slots: set[int] = set()
+        for (slot, index), task_id in zip(tasks, ids, strict=True):
             if task_id in fresh or task_id in reused:
                 continue  # duplicate request within the batch
             if self._done_path(task_id).exists():
@@ -433,32 +423,29 @@ class LocalQueueBackend(ExecutionBackend):
                 continue
             self._error_path(task_id).unlink(missing_ok=True)
             self._claimed_path(task_id).unlink(missing_ok=True)
-            blob = pickle.dumps(request, protocol=pickle.HIGHEST_PROTOCOL)
+            blob = pickle.dumps((requests[slot], index), protocol=pickle.HIGHEST_PROTOCOL)
             fresh[task_id] = blob
+            spooled_slots.add(slot)
             _atomic_write(self._pending_path(task_id), blob)
         procs: list[multiprocessing.Process] = []
         if fresh:
             with self._lock:
-                self._executed += len(fresh)
+                self._executed += len(spooled_slots)
             OPS_METRICS.counter("queue.enqueued").inc(len(fresh))
             self._spawn_workers(min(self.workers, len(fresh)), procs)
 
         # Collect: poll for each task's result file; if every worker died
         # with results still missing, requeue the stragglers and respawn.
-        results: dict[str, SimulationOutcome] = {}
-        errors: dict[str, Exception] = {}
+        landed: dict[str, WindowOutcome | Exception] = {}
         unresolved = set(fresh) | reused
         attempts = 1
         while unresolved:
             for task_id in sorted(unresolved):
-                out_path = self._done_path(task_id)
-                err_path = self._error_path(task_id)
-                if out_path.exists():
-                    results[task_id] = pickle.loads(out_path.read_bytes())
-                    unresolved.discard(task_id)
-                elif err_path.exists():
-                    errors[task_id] = pickle.loads(err_path.read_bytes())
-                    unresolved.discard(task_id)
+                for path in (self._done_path(task_id), self._error_path(task_id)):
+                    if path.exists():
+                        landed[task_id] = pickle.loads(path.read_bytes())
+                        unresolved.discard(task_id)
+                        break
             if not unresolved:
                 break
             if not any(proc.is_alive() for proc in procs):
@@ -484,19 +471,18 @@ class LocalQueueBackend(ExecutionBackend):
         # Workers exit on their own once the pending directory drains.
         self._release_workers(procs)
 
-        # Assemble outcomes in input order, then clear the batch's result
-        # files — collected outcomes now live with the caller (cache,
-        # campaign state), and a future retry of a *failed* request must
-        # re-execute it rather than replay its pickled exception.
-        outcomes: list[SimulationOutcome | None] = []
-        failures: list[tuple[SimulationRequest, Exception]] = []
-        for request, task_id in zip(requests, ids, strict=True):
-            if task_id in errors:
-                outcomes.append(None)
-                failures.append((request, errors[task_id]))
-            else:
-                outcomes.append(results[task_id])
+        # Clear the batch's result files: collected windows now live with
+        # the caller (cache, campaign state), and a future retry of a
+        # *failed* window must re-execute it rather than replay its
+        # pickled exception.
         for task_id in set(ids):
             self._done_path(task_id).unlink(missing_ok=True)
             self._error_path(task_id).unlink(missing_ok=True)
-        return self._finish_batch(outcomes, failures)
+        windows = []
+        for task_id in ids:
+            windows.append(landed[task_id])
+            if isinstance(landed[task_id], WindowOutcome):
+                # Duplicate requests share one window that ran once: only
+                # the first copy carries its metrics to the batch loop.
+                landed[task_id] = replace(landed[task_id], metrics=MetricsRegistry())
+        return windows

@@ -2,22 +2,22 @@
 
 Simulation dominates a campaign's wall-clock (the paper's analogue: waiting
 on production observation windows). Tenants are independent, so their
-windows can run concurrently: an
-:class:`~repro.service.backend.ExecutionBackend` runs
-:class:`SimulationRequest` batches inline, over a process pool, or through
-a file spool. Every request is a self-contained, picklable recipe — tenant
-spec, scenario, config, explicit workload tag — and :func:`execute_window`
-rebuilds the tenant's :class:`~repro.core.kea.Kea` from scratch inside the
-worker. Because nothing depends on live mutable state, a parallel run is
-bit-identical to a serial run of the same requests (same seeds, same tags →
-same outputs), which ``tests/test_service.py`` asserts.
+windows can run concurrently. The unit of execution is the *window*: an
+observe or flight request is one window; a rollout, resume or impact request
+is two independent windows, a baseline and a treatment replaying the same
+workload tag, so they may run in different workers at the same time.
 
-An observe or flight request simulates one window. A rollout, resume or
-impact request simulates two independent windows, a baseline and a
-treatment replaying the same workload tag, so they may run in different
-workers at the same time; :func:`assemble` pairs them into the request's
-outcome, rebuilding the span tree one tracer records for the request run
-inline. :func:`execute_request` runs a request's windows in order in the
+Every :class:`SimulationRequest` is a self-contained, picklable recipe —
+tenant spec, scenario, config, explicit workload tag. Every
+:class:`~repro.service.backend.ExecutionBackend` runs a window with
+:func:`execute_window`, which rebuilds the tenant's
+:class:`~repro.core.kea.Kea` inside the worker and returns a
+:class:`WindowOutcome` (result, span tree, ops metrics); its batch loop calls
+:func:`check_request` first and :func:`assemble` last, which pairs a
+request's windows and rebuilds the span tree of the request run inline.
+Nothing depends on live mutable state, so a parallel run is bit-identical
+to a serial run of the same requests, which ``tests/test_service.py``
+asserts. :func:`execute_request` runs a request's windows in order in the
 calling process.
 """
 

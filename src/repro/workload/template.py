@@ -13,6 +13,7 @@ template-level size multiplier so "the same job on bigger data" is captured.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,15 @@ __all__ = [
     "default_templates",
     "benchmark_templates",
 ]
+
+
+def _check(spec: object, name: str, low: float, closed: bool = True) -> None:
+    """Reject a NaN or infinite field, or one below ``low`` (or at it, unless
+    ``closed``): a draw would crash on it or silently misread it."""
+    value = getattr(spec, name)
+    if not (math.isfinite(value) and (value >= low if closed else value > low)):
+        bound = f"{'>=' if closed else '>'} {low}"
+        raise ValueError(f"{name} must be finite and {bound}, got {value}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,8 +52,10 @@ class StageSpec:
 
     def __post_init__(self) -> None:
         op = operator_by_name(self.operator)  # validate eagerly
-        if self.n_tasks_mean < 1:
-            raise ValueError("n_tasks_mean must be >= 1")
+        _check(self, "n_tasks_mean", 1)
+        _check(self, "n_tasks_sigma", 0)
+        _check(self, "work_scale", 0, closed=False)
+        _check(self, "data_scale", 0, closed=False)
         # Log-normal mu = ln(mean) - sigma^2 / 2 makes the mean the scaled
         # spec mean; np.log because math.log differs in the last bit.
         ram, ssd = op.ram_gb_per_container, op.ssd_gb_per_container
@@ -69,8 +81,8 @@ class JobTemplate:
     def __post_init__(self) -> None:
         if not self.stages:
             raise ValueError(f"template {self.name!r} needs at least one stage")
-        if self.weight < 0:
-            raise ValueError("weight must be non-negative")
+        _check(self, "weight", 0)
+        _check(self, "size_sigma", 0)
 
     @property
     def expected_tasks(self) -> float:

@@ -34,10 +34,10 @@ from repro.service import (
     TenantSpec,
     config_fingerprint,
     default_catalog,
-    execute_request,
     queue_task_id,
 )
 from repro.service.campaign import TERMINAL_PHASES
+from repro.service.pool import execute_window
 from repro.utils.errors import ServiceError
 
 CAMPAIGN_KW = dict(observe_days=0.5, impact_days=0.5, flight_hours=4.0)
@@ -195,21 +195,25 @@ class TestQueueSpool:
     def test_task_ids_are_deterministic_and_key_complete(self):
         request = observe_request()
         clone = pickle.loads(pickle.dumps(request))
-        assert queue_task_id(request) == queue_task_id(clone)
-        assert queue_task_id(request) != queue_task_id(observe_request(tag="probe/b"))
+        assert queue_task_id(request, 0) == queue_task_id(clone, 0)
+        assert queue_task_id(request, 1) == queue_task_id(clone, 1)
+        assert queue_task_id(request, 0) != queue_task_id(request, 1)
+        assert queue_task_id(request, 0) != queue_task_id(
+            observe_request(tag="probe/b"), 0
+        )
 
     def test_restart_reuses_results_a_prior_drain_landed(self, tmp_path):
-        """The restartability story: a result already in ``done/`` is reused
+        """The restartability story: a window already in ``done/`` is reused
         verbatim — not re-simulated — when the same batch is re-run."""
         done_first = observe_request(tag="spool/keep")
         fresh_only = observe_request(tag="spool/fresh")
-        seeded = execute_request(done_first)
+        seeded = execute_window(done_first, 0)
         backend = LocalQueueBackend(tmp_path / "spool", workers=1)
-        done_path = backend._done_path(queue_task_id(done_first))
+        done_path = backend._done_path(queue_task_id(done_first, 0))
         done_path.write_bytes(pickle.dumps(seeded, protocol=pickle.HIGHEST_PROTOCOL))
         with backend:
             reused, executed = backend.run([done_first, fresh_only])
-        # Only the missing task was executed; the seeded outcome is the
+        # Only the missing window was executed; the seeded outcome is the
         # spooled record itself (its worker wall-clock proves it: a re-run
         # could never reproduce those exact seconds).
         assert backend.executed == 1
@@ -244,7 +248,7 @@ class TestQueueSpool:
         with pytest.raises(ServiceError, match="gave up"):
             backend.run([request])
         # The unexecuted task is still spooled for inspection/retry.
-        assert backend._pending_path(queue_task_id(request)).exists()
+        assert backend._pending_path(queue_task_id(request, 0)).exists()
         backend.shutdown()
 
     def test_worker_crash_mid_batch_recovers_by_redrain(

@@ -21,8 +21,10 @@ A deliberate behaviour change re-baselines the file, from the repo root::
 
 from __future__ import annotations
 
+import cProfile
 import hashlib
 import json
+import pstats
 import struct
 import sys
 from pathlib import Path
@@ -310,6 +312,39 @@ class TestScenariosReachTheirBranches:
         assert len(result.resource_samples) > 0
 
 
+class TestProfiledSaturatedWindows:
+    """A profiled window that queues or defers stays off the per-task clock.
+
+    Every pool window is profiled. The placements ``capacity_changed`` makes
+    when a slot frees are one task each; they are counted in
+    ``profile.placements`` but not timed. Timing them read ``perf_counter``
+    4.46 times per started task on ``queue-overload`` and 1.83 on
+    ``az-outage``; the counts below are the ones recorded while they were.
+    """
+
+    @pytest.mark.parametrize(
+        "name, bound, events, placements",
+        [("queue-overload", 1.0, 1140, 990), ("az-outage", 0.5, 14304, 16883)],
+    )
+    def test_clock_reads_per_started_task(self, name, bound, events, placements, golden):
+        simulator, hours = SCENARIOS[name]()
+        profiler = cProfile.Profile()
+        with activate(Tracer()):
+            profiler.enable()
+            try:
+                result = simulator.run(hours)
+            finally:
+                profiler.disable()
+        clock_calls = sum(
+            calls
+            for (_file, _line, func), (_prim, calls, *_rest) in pstats.Stats(profiler).stats.items()
+            if "perf_counter" in func
+        )
+        assert 0 < clock_calls / result.tasks_started <= bound
+        assert (result.profile.events, result.profile.placements) == (events, placements)
+        assert result_digest(result) == golden[name]
+
+
 def _write() -> None:
     digests = {}
     for name in sorted(SCENARIOS):
@@ -324,3 +359,4 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python -m tests.test_golden --write")
     _write()
+

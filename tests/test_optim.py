@@ -130,9 +130,11 @@ class TestLinearProgram:
         lp.add_variable("a", 1, 8, objective=3.0)
         lp.add_variable("b", 2, 9, objective=1.0)
         lp.add_constraint("cap", {"a": 2.0, "b": 1.0}, "<=", 15.0)
-        s1 = lp.solve(method="simplex")
-        s2 = lp.solve(method="scipy")
-        assert s1.objective == pytest.approx(s2.objective)
+        solution = lp.solve()
+        ref = linprog([-3.0, -1.0], A_ub=[[2.0, 1.0]], b_ub=[15.0],
+                      bounds=[(1, 8), (2, 9)], method="highs")
+        assert solution.is_optimal and ref.status == 0
+        assert solution.objective == pytest.approx(-ref.fun)
 
     def test_duplicate_variable_rejected(self):
         lp = LinearProgram()

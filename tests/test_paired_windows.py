@@ -2,17 +2,19 @@
 
 A ``rollout``, ``resume`` or ``impact`` request simulates a baseline window
 and a treatment window. The process-pool backend runs them as two pool
-tasks and assembles the request's outcome once both return. These tests
-pin what that must preserve:
+tasks, the queue backend as two spooled tasks drained by two workers, and
+the shared batch loop assembles the request's outcome once both return.
+These tests pin what that must preserve:
 
-* the outcome is the one the inline (``max_workers=1``) run produces — the
-  same impact, waves and checkpoint, the same pickled size, and the same
-  span tree — while the two windows overlap in time on the pool;
+* on either backend, the outcome is the one the inline (``max_workers=1``)
+  run produces — the same impact, waves and checkpoint, the same pickled
+  size, and the same span tree — while the two windows overlap in time;
 * failures stay per request: an invalid plan fails before any window is
   dispatched, a raising window fails only its own request (its sibling
   window's result is dropped), and the rest of the batch still returns
   under the :class:`~repro.service.pool.SimulationBatchError` contract;
-* the ops metrics a window records in its worker reach the orchestrator.
+* the ops metrics a window records in its worker reach the orchestrator,
+  from a pool worker and a queue worker alike.
 """
 
 import pickle
@@ -27,6 +29,7 @@ from repro.flighting.deployment import RolloutPolicy
 from repro.flighting.safety import GateVerdict, SafetyGate
 from repro.obs.metrics import OPS_METRICS, MetricsRegistry, capture
 from repro.service import (
+    LocalQueueBackend,
     ProcessPoolBackend,
     SimulationBatchError,
     SimulationRequest,
@@ -119,21 +122,34 @@ def pool():
 
 
 @pytest.fixture(scope="module")
-def runs(pool):
-    """Per paired kind: (inline outcome, pooled outcome, deploy.* deltas)."""
+def queue(tmp_path_factory):
+    """A 2-worker spool queue (it starts its drain workers per batch)."""
+    with LocalQueueBackend(tmp_path_factory.mktemp("spool"), workers=2) as backend:
+        yield backend
+
+
+@pytest.fixture(scope="module")
+def paired():
+    return _paired_requests()
+
+
+@pytest.fixture(scope="module")
+def runs(pool, queue, paired):
+    """Per (backend, paired kind): (inline outcome, that backend's outcome,
+    (inline deploy.* deltas, that backend's deploy.* deltas))."""
     results = {}
     with ProcessPoolBackend(max_workers=1) as inline:
-        for kind, request in _paired_requests().items():
+        for kind, request in paired.items():
             before = _deploy_counts()
             (serial,) = inline.run([request])
-            middle = _deploy_counts()
-            (pooled,) = pool.run([request])
             after = _deploy_counts()
-            deltas = (
-                {k: middle[k] - before[k] for k in before},
-                {k: after[k] - middle[k] for k in before},
-            )
-            results[kind] = (serial, pooled, deltas)
+            serial_deltas = {k: after[k] - before[k] for k in before}
+            for name, backend in (("pool", pool), ("queue", queue)):
+                before = _deploy_counts()
+                (parallel,) = backend.run([request])
+                after = _deploy_counts()
+                deltas = {k: after[k] - before[k] for k in before}
+                results[name, kind] = (serial, parallel, (serial_deltas, deltas))
     return results
 
 
@@ -145,43 +161,63 @@ def _tree(outcome) -> Counter:
     )
 
 
-@pytest.mark.parametrize("kind", ["rollout", "resume", "impact"])
+#: Every paired kind on both parallel backends; the pool legs keep their
+#: bare kind ids.
+BACKEND_KINDS = [
+    pytest.param(backend, kind, id=kind if backend == "pool" else f"{backend}-{kind}")
+    for backend in ("pool", "queue")
+    for kind in ("rollout", "resume", "impact")
+]
+
+
+@pytest.mark.parametrize(("backend", "kind"), BACKEND_KINDS)
 class TestInlineAndPooledWindowsAgree:
-    def test_same_impact_waves_and_checkpoint(self, runs, kind):
-        serial, pooled, _deltas = runs[kind]
-        assert repr(pooled.impact) == repr(serial.impact)
-        assert pooled.rollout_waves == serial.rollout_waves
-        assert pooled.rollout_checkpoint == serial.rollout_checkpoint
+    def test_same_impact_waves_and_checkpoint(self, runs, backend, kind):
+        serial, parallel, _deltas = runs[backend, kind]
+        assert repr(parallel.impact) == repr(serial.impact)
+        assert parallel.rollout_waves == serial.rollout_waves
+        assert parallel.rollout_checkpoint == serial.rollout_checkpoint
         if kind != "impact":
-            assert pooled.rollout_waves
+            assert parallel.rollout_waves
 
-    def test_same_pickled_size(self, runs, kind):
-        serial, pooled, _deltas = runs[kind]
-        assert len(pickle.dumps(pooled)) == len(pickle.dumps(serial))
+    def test_same_pickled_size(self, runs, backend, kind):
+        serial, parallel, _deltas = runs[backend, kind]
+        assert len(pickle.dumps(parallel)) == len(pickle.dumps(serial))
 
-    def test_same_span_tree(self, runs, kind):
-        serial, pooled, _deltas = runs[kind]
+    def test_same_span_tree(self, runs, backend, kind):
+        serial, parallel, _deltas = runs[backend, kind]
         ids = {span.span_id for span in serial.timing.trace}
         assert ids == {f"s{n}" for n in range(1, len(ids) + 1)}
-        assert {span.span_id for span in pooled.timing.trace} == ids
-        assert _tree(pooled) == _tree(serial)
+        assert {span.span_id for span in parallel.timing.trace} == ids
+        assert _tree(parallel) == _tree(serial)
         root = [span for span in serial.timing.trace if span.parent_id is None]
         assert [span.name for span in root] == [f"request.{kind}"]
 
-    def test_windows_overlap_on_the_pool(self, runs, kind):
-        _serial, pooled, _deltas = runs[kind]
-        spans = {span.name: span for span in pooled.timing.trace}
+    def test_windows_overlap_on_the_pool(self, runs, backend, kind):
+        _serial, parallel, _deltas = runs[backend, kind]
+        spans = {span.name: span for span in parallel.timing.trace}
         baseline, treatment = (spans[name] for name in WINDOW_SPANS[kind])
         assert baseline.start < treatment.end and treatment.start < baseline.end
         request = spans[f"request.{kind}"]
         assert request.start <= min(baseline.start, treatment.start)
         assert request.end >= max(baseline.end, treatment.end)
 
-    def test_worker_deploy_metrics_reach_the_orchestrator(self, runs, kind):
-        _serial, _pooled, (serial_deltas, pooled_deltas) = runs[kind]
-        assert pooled_deltas == serial_deltas
+    def test_worker_deploy_metrics_reach_the_orchestrator(self, runs, backend, kind):
+        _serial, _parallel, (serial_deltas, deltas) = runs[backend, kind]
+        assert deltas == serial_deltas
         if kind != "impact":
             assert serial_deltas["deploy.apply_seconds"] > 0
+
+
+def test_a_duplicated_request_on_the_queue_records_its_metrics_once(runs, queue, paired):
+    """Duplicates within a batch spool (and run) each window once, so the
+    orchestrator records that work once."""
+    serial_deltas = runs["queue", "rollout"][2][0]
+    before = _deploy_counts()
+    first, second = queue.run([paired["rollout"], paired["rollout"]])
+    after = _deploy_counts()
+    assert {k: after[k] - before[k] for k in before} == serial_deltas
+    assert first.rollout_waves == second.rollout_waves
 
 
 class TestWindowFailures:

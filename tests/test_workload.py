@@ -238,6 +238,50 @@ class TestTemplates:
         with pytest.raises(KeyError):
             StageSpec("NotAnOp", n_tasks_mean=5)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_tasks_sigma", math.nan),
+            ("n_tasks_sigma", -0.1),
+            ("n_tasks_sigma", math.inf),
+            ("n_tasks_mean", math.nan),
+            ("n_tasks_mean", math.inf),
+            ("n_tasks_mean", 0.5),
+            ("work_scale", math.nan),
+            ("work_scale", -1.0),
+            ("work_scale", 0.0),
+            ("data_scale", math.nan),
+            ("data_scale", -1.0),
+            ("data_scale", math.inf),
+        ],
+    )
+    def test_stage_rejects_values_that_break_draws(self, field, value):
+        """A NaN sigma used to crash the first arrival, a negative one was
+        silently read as 0, and a bad scale gave a NaN draw mu."""
+        with pytest.raises(ValueError, match=field):
+            StageSpec("Process", **{"n_tasks_mean": 5, field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("size_sigma", math.nan),
+            ("size_sigma", -0.25),
+            ("size_sigma", math.inf),
+            ("weight", math.nan),
+            ("weight", math.inf),
+            ("weight", -1.0),
+        ],
+    )
+    def test_template_rejects_values_that_break_draws(self, field, value):
+        stage = StageSpec("Process", n_tasks_mean=5)
+        with pytest.raises(ValueError, match=field):
+            JobTemplate(name="bad", stages=(stage,), **{field: value})
+
+    def test_zero_sigmas_stay_the_deterministic_case(self):
+        stage = StageSpec("Process", n_tasks_mean=5, n_tasks_sigma=0.0)
+        template = JobTemplate(name="fixed", stages=(stage,), size_sigma=0.0, weight=0.0)
+        assert template.size_sigma == 0.0 and stage.n_tasks_sigma == 0.0
+
 
 class TestSeasonality:
     def test_flat_profile_is_constant_one(self):
