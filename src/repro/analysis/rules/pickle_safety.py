@@ -37,6 +37,8 @@ BOUNDARY_CLASS_NAMES = frozenset(
     {
         "SimulationRequest",
         "SimulationOutcome",
+        "WindowOutcome",
+        "PairedWindow",
         "OutcomeTiming",
         "Scenario",
         "TenantSpec",

@@ -19,10 +19,14 @@ failing request never destroys its siblings. A backend implements only
   runs inline in the calling process; otherwise every window is its own
   pool task;
 * :class:`LocalQueueBackend` — persists every window as a file in a spool
-  directory and drains it with restartable worker *processes* that claim
-  tasks by atomic rename. A worker (or the whole service) can die
-  mid-batch; re-running the batch reuses every window that already landed
-  in ``done/`` and re-executes only what is missing.
+  directory drained by the backend's own set of worker *processes*, which
+  live until :meth:`~ExecutionBackend.shutdown` and claim tasks by atomic
+  rename into a claim file that names the worker. Concurrent batches share
+  the workers and each waits only for its own windows. A dead worker's
+  claims are requeued and the worker replaced; a window that keeps killing
+  its workers fails alone, its request only. After a whole-service crash,
+  re-running the batch reuses every window that already landed in
+  ``done/`` and re-executes only what is missing.
 
 Every window is a self-contained picklable recipe run by
 :func:`~repro.service.pool.execute_window`, so every execution is
@@ -41,6 +45,7 @@ import threading
 import time
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import suppress
 from dataclasses import replace
 from functools import partial
 from hashlib import sha256
@@ -258,36 +263,39 @@ def _atomic_write(path: Path, blob: bytes) -> None:
     os.replace(tmp, path)
 
 
+#: Seconds between looks at the spool, in idle workers and waiting batches.
+_POLL_INTERVAL = 0.02
+
+
 def _drain_worker(spool: str) -> None:
-    """Worker-process entry point: claim and execute spooled tasks.
+    """Worker-process entry point: claim and execute spooled tasks until the
+    backend stops this worker (or its parent process is gone).
 
     Claims by atomically renaming ``pending/<id>.pkl`` to
-    ``claimed/<id>.pkl`` (the rename either succeeds for exactly one worker
-    or raises), executes the spooled ``(request, window index)`` with
+    ``claimed/<id>.<pid>.pkl`` (the rename succeeds for exactly one worker,
+    and the claim names the worker that holds it), executes the spooled
+    ``(request, window index)`` with
     :func:`~repro.service.pool.execute_window`, and lands the pickled
     :class:`~repro.service.pool.WindowOutcome` in ``done/<id>.out.pkl`` — or
     the pickled exception in ``done/<id>.err.pkl`` — via write-then-rename.
-    Exits when the pending directory is empty. A worker killed mid-task leaves its claim file behind; the collector
-    requeues the task and a fresh worker re-executes it (execution is
-    deterministic, so a replay is indistinguishable from the first run).
+    An empty ``pending/`` is polled again after a short sleep. A worker
+    killed mid-task leaves its claim behind; the backend's liveness check
+    requeues exactly that worker's claims (execution is deterministic, so a
+    replay is indistinguishable from the first run).
     """
     spool_dir = Path(spool)
     pending = spool_dir / "pending"
     claimed = spool_dir / "claimed"
     done = spool_dir / "done"
-    while True:
-        entries = sorted(p for p in pending.iterdir() if p.suffix == ".pkl")
-        if not entries:
-            return
-        progressed = False
-        for entry in entries:
-            claim = claimed / entry.name
+    parent, pid = os.getppid(), os.getpid()
+    while os.getppid() == parent:
+        for entry in sorted(pending.glob("*.pkl")):
+            task_id = entry.stem
+            claim = claimed / f"{task_id}.{pid}.pkl"
             try:
                 os.rename(entry, claim)
             except OSError:
                 continue  # a sibling worker claimed it first
-            progressed = True
-            task_id = entry.stem
             try:
                 request, index = pickle.loads(claim.read_bytes())
                 window = execute_window(request, index)
@@ -301,35 +309,43 @@ def _drain_worker(spool: str) -> None:
                 _atomic_write(done / f"{task_id}.err.pkl", blob)
             finally:
                 claim.unlink(missing_ok=True)
-        if not progressed:
-            # Everything visible was claimed by siblings; nothing left here.
-            return
+            break  # list again: windows spooled meanwhile join the queue
+        else:
+            time.sleep(_POLL_INTERVAL)
 
 
 class LocalQueueBackend(ExecutionBackend):
-    """File-spooled task queue drained by restartable worker processes.
+    """File-spooled task queue drained by the backend's worker processes.
 
-    Every window is persisted to ``<spool>/pending/<task_id>.pkl`` before
-    any worker starts, so the batch survives the orchestrator: a service
-    killed mid-drain leaves the spool behind, and the re-run of the same
-    batch (task ids are deterministic — :func:`queue_task_id`) reuses every
-    ``done/`` window and re-executes only what is missing. Workers claim
-    tasks by atomic rename, so any number of them can drain one spool
-    without coordination (a two-window request's windows run in two
-    workers at once); a worker that dies mid-task is detected by the
-    collector, its task requeued, and a replacement spawned (bounded by
-    ``max_attempts``). ``executed`` counts a request when at least one of
-    its windows was freshly spooled.
+    Every window is persisted to ``<spool>/pending/<task_id>.pkl`` before it
+    runs, so the batch survives the orchestrator: a service killed
+    mid-drain leaves the spool behind, and the re-run of the same batch
+    (task ids are deterministic — :func:`queue_task_id`) reuses every
+    ``done/`` window and re-executes only what is missing.
+
+    The backend owns one set of ``workers`` drain processes, started by the
+    first batch that has to wait for a window and kept until
+    :meth:`shutdown` (a later batch starts a new set). Any number of batches — a sharded
+    front-end drives one backend from several threads — spool into the
+    same ``pending/`` and each waits only for its own task ids in ``done/``.
+    Workers claim tasks by atomic rename into ``claimed/<task_id>.<pid>.pkl``,
+    so a claim names the worker holding it. The batches' wait loops call one
+    liveness check: a dead worker is replaced and each of its claims is
+    charged to its task, which goes back to ``pending/`` until it has
+    killed ``max_attempts`` workers and then fails alone — a "gave up"
+    error lands in ``done/`` for its request, and every other window runs
+    on. Workers that die holding no claim cannot run at all: a batch gives
+    up (keeping the spool) once ``max_attempts`` of them have died while it
+    waited. Claims left by an
+    earlier set of workers (a killed service, a shut-down backend) are
+    requeued when a set starts. ``executed`` counts a request when at least
+    one of its windows was freshly spooled.
     """
 
     name = "queue"
 
     def __init__(
-        self,
-        spool_dir: str | Path,
-        workers: int = 1,
-        poll_interval: float = 0.02,
-        max_attempts: int = 3,
+        self, spool_dir: str | Path, workers: int = 1, max_attempts: int = 3
     ) -> None:
         if workers < 1:
             raise ServiceError(f"workers must be >= 1, got {workers}")
@@ -337,13 +353,17 @@ class LocalQueueBackend(ExecutionBackend):
             raise ServiceError(f"max_attempts must be >= 1, got {max_attempts}")
         self.spool = Path(spool_dir)
         self.workers = workers
-        self.poll_interval = poll_interval
         self.max_attempts = max_attempts
+        # Guards the worker set, the death counts, the waiter counts and the
+        # spooling of fresh windows.
         self._lock = threading.Lock()
-        # Live workers across all in-flight batches (a sharded front-end
-        # may drain several batches concurrently); each run() manages its
-        # own workers and deregisters them here when they finish.
         self._procs: list[multiprocessing.Process] = []
+        self._idle_deaths = 0  # workers found dead holding no claim (lifetime)
+        # Workers each in-flight task id has killed while holding it.
+        self._attempts: dict[str, int] = defaultdict(int)
+        # Batches waiting on each in-flight task id: a window two concurrent
+        # batches share is spooled once and cleared by the last to collect.
+        self._waiters: dict[str, int] = defaultdict(int)
         for sub in ("pending", "claimed", "done"):
             (self.spool / sub).mkdir(parents=True, exist_ok=True)
 
@@ -353,9 +373,6 @@ class LocalQueueBackend(ExecutionBackend):
     def _pending_path(self, task_id: str) -> Path:
         return self.spool / "pending" / f"{task_id}.pkl"
 
-    def _claimed_path(self, task_id: str) -> Path:
-        return self.spool / "claimed" / f"{task_id}.pkl"
-
     def _done_path(self, task_id: str) -> Path:
         return self.spool / "done" / f"{task_id}.out.pkl"
 
@@ -363,36 +380,65 @@ class LocalQueueBackend(ExecutionBackend):
         return self.spool / "done" / f"{task_id}.err.pkl"
 
     # ------------------------------------------------------------------
-    # Worker management
+    # The worker set
     # ------------------------------------------------------------------
-    def _spawn_workers(
-        self, count: int, procs: list[multiprocessing.Process]
-    ) -> None:
-        """Start ``count`` drain workers, tracking them in ``procs``."""
-        count = max(1, count)
-        for _ in range(count):
-            proc = multiprocessing.Process(
-                target=_drain_worker, args=(str(self.spool),), daemon=True
-            )
-            proc.start()
-            procs.append(proc)
-        with self._lock:
-            self._procs.extend(procs[-count:])
-        OPS_METRICS.counter("queue.workers_spawned").inc(count)
+    def _requeue_claims(self) -> None:
+        for claim in (self.spool / "claimed").glob("*.pkl"):
+            with suppress(FileNotFoundError):  # its worker finished it meanwhile
+                os.replace(claim, self._pending_path(claim.name.split(".")[0]))
 
-    def _release_workers(self, procs: list[multiprocessing.Process]) -> None:
-        """Join (then force-stop) one batch's workers and deregister them."""
-        for proc in procs:
-            proc.join(timeout=5.0)
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
-                proc.join()
+    def _charge_claim(self, claim: Path) -> None:
+        """A worker died holding ``claim``: requeue its task, or fail it
+        alone once it has killed ``max_attempts`` workers."""
+        task_id = claim.name.split(".")[0]
+        self._attempts[task_id] += 1
+        if self._attempts[task_id] < self.max_attempts:
+            os.replace(claim, self._pending_path(task_id))
+            return
+        error = ServiceError(
+            f"queue backend gave up on task {task_id}: it killed "
+            f"{self.max_attempts} drain worker(s)"
+        )
+        _atomic_write(self._error_path(task_id), pickle.dumps(error))
+        claim.unlink()
+
+    def _start_worker(self) -> multiprocessing.Process:
+        # ``_drain_worker`` is looked up here, at spawn time, so it can be
+        # replaced (the crash tests do).
+        proc = multiprocessing.Process(
+            target=_drain_worker, args=(str(self.spool),), daemon=True
+        )
+        proc.start()
+        OPS_METRICS.counter("queue.workers_spawned").inc()
+        return proc
+
+    def _check_workers(self) -> int:
+        """Keep the worker set whole; return how many workers have died
+        holding no claim (lifetime total).
+
+        Starts the set if there is none (requeueing every claim left in
+        ``claimed/``: no worker of this set holds one yet), and replaces each
+        dead worker after charging exactly its claims to their tasks.
+        """
         with self._lock:
-            self._procs = [p for p in self._procs if p not in procs]
+            if not self._procs:
+                self._requeue_claims()
+                self._procs = [self._start_worker() for _ in range(self.workers)]
+            for slot, proc in enumerate(self._procs):
+                if proc.is_alive():
+                    continue
+                proc.join()
+                claims = list((self.spool / "claimed").glob(f"*.{proc.pid}.pkl"))
+                for claim in claims:
+                    self._charge_claim(claim)
+                if not claims:
+                    self._idle_deaths += 1
+                self._procs[slot] = self._start_worker()
+                OPS_METRICS.counter("queue.redrains").inc()
+            return self._idle_deaths
 
     def shutdown(self) -> None:
-        """Stop any workers still draining (idempotent and thread-safe)."""
+        """Stop the worker set (idempotent and thread-safe)."""
         with self._lock:
             procs, self._procs = self._procs, []
         for proc in procs:
@@ -407,82 +453,81 @@ class LocalQueueBackend(ExecutionBackend):
         self, requests: list[SimulationRequest], tasks: list[tuple[int, int]]
     ) -> list[WindowOutcome | Exception]:
         ids = [queue_task_id(requests[slot], index) for slot, index in tasks]
+        # A duplicate request within the batch shares its first copy's task.
+        first: dict[str, tuple[int, int]] = {}
+        for task, task_id in zip(tasks, ids, strict=True):
+            first.setdefault(task_id, task)
 
-        # Enqueue: spool every window not already satisfied by a prior
-        # drain. A stale claim (a dead run's half-executed task) or error
-        # file is cleared so this run retries it fresh.
-        fresh: dict[str, bytes] = {}
-        reused: set[str] = set()
+        # Spool every window that no earlier drain landed and no concurrent
+        # batch already waits on; a stale error file and attempt count are
+        # cleared so the window is retried fresh.
+        fresh = 0
         spooled_slots: set[int] = set()
-        for (slot, index), task_id in zip(tasks, ids, strict=True):
-            if task_id in fresh or task_id in reused:
-                continue  # duplicate request within the batch
-            if self._done_path(task_id).exists():
-                reused.add(task_id)
-                OPS_METRICS.counter("queue.reused").inc()
-                continue
-            self._error_path(task_id).unlink(missing_ok=True)
-            self._claimed_path(task_id).unlink(missing_ok=True)
-            blob = pickle.dumps((requests[slot], index), protocol=pickle.HIGHEST_PROTOCOL)
-            fresh[task_id] = blob
-            spooled_slots.add(slot)
-            _atomic_write(self._pending_path(task_id), blob)
-        procs: list[multiprocessing.Process] = []
-        if fresh:
-            with self._lock:
-                self._executed += len(spooled_slots)
-            OPS_METRICS.counter("queue.enqueued").inc(len(fresh))
-            self._spawn_workers(min(self.workers, len(fresh)), procs)
-
-        # Collect: poll for each task's result file; if every worker died
-        # with results still missing, requeue the stragglers and respawn.
-        landed: dict[str, WindowOutcome | Exception] = {}
-        unresolved = set(fresh) | reused
-        attempts = 1
-        while unresolved:
-            for task_id in sorted(unresolved):
-                for path in (self._done_path(task_id), self._error_path(task_id)):
-                    if path.exists():
-                        landed[task_id] = pickle.loads(path.read_bytes())
-                        unresolved.discard(task_id)
-                        break
-            if not unresolved:
-                break
-            if not any(proc.is_alive() for proc in procs):
-                # This batch's workers are gone but tasks remain: a crash
-                # mid-task (or a kill between spawn and claim). Requeue the
-                # stragglers and retry, bounded by max_attempts.
-                attempts += 1
-                if attempts > self.max_attempts:
-                    self._release_workers(procs)
-                    raise ServiceError(
-                        f"queue backend gave up on {len(unresolved)} task(s) "
-                        f"after {self.max_attempts} drain attempt(s); spool "
-                        f"kept at {self.spool}"
+        # Task ids whose metrics another copy carries: a window in flight for
+        # another batch, and every duplicate after a window's first copy.
+        carried: set[str] = set()
+        with self._lock:
+            for task_id, (slot, index) in first.items():
+                if self._waiters[task_id]:
+                    carried.add(task_id)  # in flight for another batch
+                elif self._done_path(task_id).exists():
+                    OPS_METRICS.counter("queue.reused").inc()
+                else:
+                    self._error_path(task_id).unlink(missing_ok=True)
+                    self._attempts.pop(task_id, None)
+                    blob = pickle.dumps(
+                        (requests[slot], index), protocol=pickle.HIGHEST_PROTOCOL
                     )
-                OPS_METRICS.counter("queue.redrains").inc()
+                    _atomic_write(self._pending_path(task_id), blob)
+                    fresh += 1
+                    spooled_slots.add(slot)
+                self._waiters[task_id] += 1
+            self._executed += len(spooled_slots)
+            idle_deaths = self._idle_deaths
+        if fresh:
+            OPS_METRICS.counter("queue.enqueued").inc(fresh)
+
+        # Wait for this batch's task ids to land, keeping the workers alive.
+        landed: dict[str, WindowOutcome | Exception] = {}
+        unresolved = set(first)
+        try:
+            while True:
                 for task_id in sorted(unresolved):
-                    self._claimed_path(task_id).unlink(missing_ok=True)
-                    if task_id in fresh and not self._pending_path(task_id).exists():
-                        _atomic_write(self._pending_path(task_id), fresh[task_id])
-                self._spawn_workers(min(self.workers, len(unresolved)), procs)
-            time.sleep(self.poll_interval)
-
-        # Workers exit on their own once the pending directory drains.
-        self._release_workers(procs)
-
-        # Clear the batch's result files: collected windows now live with
-        # the caller (cache, campaign state), and a future retry of a
-        # *failed* window must re-execute it rather than replay its
-        # pickled exception.
-        for task_id in set(ids):
-            self._done_path(task_id).unlink(missing_ok=True)
-            self._error_path(task_id).unlink(missing_ok=True)
+                    for path in (self._done_path(task_id), self._error_path(task_id)):
+                        if path.exists():
+                            landed[task_id] = pickle.loads(path.read_bytes())
+                            unresolved.discard(task_id)
+                            break
+                if not unresolved:
+                    break
+                if self._check_workers() - idle_deaths >= self.max_attempts:
+                    raise ServiceError(
+                        f"queue backend gave up on {len(unresolved)} task(s): "
+                        f"{self.max_attempts} drain worker(s) died holding no "
+                        f"window; spool kept at {self.spool}"
+                    )
+                time.sleep(_POLL_INTERVAL)
+        finally:
+            # The last batch to collect a window clears its result files:
+            # collected windows now live with the caller (cache, campaign
+            # state), and a future retry of a *failed* window must
+            # re-execute it rather than replay its pickled exception.
+            with self._lock:
+                for task_id in first:
+                    self._waiters[task_id] -= 1
+                    if self._waiters[task_id]:
+                        continue
+                    del self._waiters[task_id]
+                    self._attempts.pop(task_id, None)
+                    if not unresolved:
+                        self._done_path(task_id).unlink(missing_ok=True)
+                        self._error_path(task_id).unlink(missing_ok=True)
         windows = []
         for task_id in ids:
-            windows.append(landed[task_id])
-            if isinstance(landed[task_id], WindowOutcome):
-                # Duplicate requests share one window that ran once: only
-                # the first copy carries its metrics to the batch loop.
-                landed[task_id] = replace(landed[task_id], metrics=MetricsRegistry())
+            window = landed[task_id]
+            if isinstance(window, WindowOutcome) and task_id in carried:
+                # The window ran once: one copy brings its metrics to a batch loop.
+                window = replace(window, metrics=MetricsRegistry())
+            carried.add(task_id)
+            windows.append(window)
         return windows

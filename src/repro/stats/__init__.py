@@ -1,11 +1,9 @@
-"""Statistics substrate: t-tests, treatment effects, bootstrap, descriptives.
+"""Statistics substrate: t-tests and treatment effects.
 
 The t distribution itself is implemented from scratch in
 :mod:`repro.stats.distributions` and validated against scipy in the tests.
 """
 
-from repro.stats.bootstrap import BootstrapResult, bootstrap_ci
-from repro.stats.describe import Description, describe, percentile
 from repro.stats.distributions import (
     regularized_incomplete_beta,
     student_t_cdf,
@@ -25,11 +23,6 @@ from repro.stats.ttest import (
 )
 
 __all__ = [
-    "BootstrapResult",
-    "bootstrap_ci",
-    "Description",
-    "describe",
-    "percentile",
     "regularized_incomplete_beta",
     "student_t_cdf",
     "student_t_sf",

@@ -259,8 +259,12 @@ REP003_CLASS_HEADER = (
 
 
 class TestRep003PickleSafety:
-    def test_lambda_field_default_flagged(self):
-        findings = lint(REP003_CLASS_HEADER + "    hook = lambda: 1\n")
+    # A two-window request sends WindowOutcome and PairedWindow across the
+    # pool and the spool.
+    @pytest.mark.parametrize("class_name", ["Scenario", "WindowOutcome", "PairedWindow"])
+    def test_lambda_field_default_flagged(self, class_name):
+        header = REP003_CLASS_HEADER.replace("Scenario", class_name)
+        findings = lint(header + "    hook = lambda: 1\n")
         assert "REP003" in codes(findings)
 
     def test_field_default_lambda_flagged(self):

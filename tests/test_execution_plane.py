@@ -10,6 +10,11 @@ campaign from a harvested checkpoint, and the pool's idempotent shutdown.
 
 import os
 import pickle
+import sys
+import threading
+import time
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -103,6 +108,43 @@ def assert_fleet_reports_identical(got, want):
                 w = getattr(want_report.last_impact, field)
                 assert g.effect == w.effect
                 assert g.test.p_value == w.test.p_value
+
+
+def run_on_threads(
+    backend,
+    batches,
+    stagger: float = 0.0,
+    timeout: float = 120.0,
+    return_exceptions: bool = False,
+):
+    """Run each batch through ``backend`` on its own daemon thread, started
+    ``stagger`` seconds apart, and return their outcomes in batch order (a
+    batch that raised is re-raised here, or returned in its slot with
+    ``return_exceptions``). A batch still waiting after ``timeout`` fails the
+    test instead of hanging the suite."""
+    results: list = [None] * len(batches)
+
+    def run(slot: int) -> None:
+        try:
+            results[slot] = backend.run(batches[slot])
+        except Exception as exc:  # re-raised on the test's thread
+            results[slot] = exc
+
+    threads = [
+        threading.Thread(target=run, args=(slot,), daemon=True)
+        for slot in range(len(batches))
+    ]
+    for thread in threads:
+        thread.start()
+        time.sleep(stagger)
+    deadline = time.monotonic() + timeout
+    for thread in threads:
+        thread.join(max(0.0, deadline - time.monotonic()))
+    assert not any(thread.is_alive() for thread in threads), "a batch never finished"
+    for result in results:
+        if isinstance(result, Exception) and not return_exceptions:
+            raise result
+    return results
 
 
 def make_backend(kind: str, tmp_path_factory):
@@ -241,9 +283,7 @@ class TestQueueSpool:
         monkeypatch.setattr(
             backend_mod, "_drain_worker", lambda spool: os._exit(1)
         )
-        backend = LocalQueueBackend(
-            tmp_path / "spool", workers=1, poll_interval=0.01, max_attempts=2
-        )
+        backend = LocalQueueBackend(tmp_path / "spool", workers=1, max_attempts=2)
         request = observe_request(tag="spool/doomed")
         with pytest.raises(ServiceError, match="gave up"):
             backend.run([request])
@@ -270,11 +310,115 @@ class TestQueueSpool:
         monkeypatch.setattr(backend_mod, "_drain_worker", crash_once)
         redrains_before = OPS_METRICS.counter("queue.redrains").value
         with LocalQueueBackend(
-            tmp_path / "spool", workers=1, poll_interval=0.01, max_attempts=3
+            tmp_path / "spool", workers=1, max_attempts=3
         ) as backend:
             (outcome,) = backend.run([observe_request(tag="spool/crashy")])
         assert outcome.kind == "observe"
         assert OPS_METRICS.counter("queue.redrains").value > redrains_before
+
+    def test_window_that_kills_its_workers_fails_only_its_own_request(
+        self, tmp_path, monkeypatch
+    ):
+        """A window that kills every worker claiming it (an OOM kill, a
+        native crash) is charged those deaths alone: after ``max_attempts``
+        its request fails, while a batch waiting at the same moment and a
+        later batch on the same backend both succeed.
+
+        The poisoned window's id sorts first, so a worker always claims it
+        before the healthy ones; counting deaths per backend instead of per
+        task gave up on every batch waiting while it cycled."""
+        import repro.service.backend as backend_mod
+
+        real_execute = backend_mod.execute_window
+
+        def deadly_execute(request, index):
+            if request.workload_tag.startswith("poison/"):
+                os._exit(1)
+            return real_execute(request, index)
+
+        monkeypatch.setattr(backend_mod, "execute_window", deadly_execute)
+        poison = observe_request(tag="poison/0")
+        healthy = replace(observe_request(tag="healthy/0"), days=0.1)
+        later = replace(observe_request(tag="later/0"), days=0.1)
+        poison_id = queue_task_id(poison, 0)
+        assert poison_id < queue_task_id(healthy, 0)
+        assert poison_id < queue_task_id(later, 0)
+        redrains_before = OPS_METRICS.counter("queue.redrains").value
+        with LocalQueueBackend(tmp_path / "spool", workers=1, max_attempts=2) as backend:
+            failed, (got_healthy,) = run_on_threads(
+                backend, [[poison], [healthy]], stagger=0.05, return_exceptions=True
+            )
+            (got_later,) = backend.run([later])
+        assert isinstance(failed, SimulationBatchError)
+        ((request, error),) = failed.failures
+        assert request is poison
+        assert isinstance(error, ServiceError) and "gave up" in str(error)
+        assert OPS_METRICS.counter("queue.redrains").value - redrains_before == 2
+        assert got_healthy.frame == real_execute(healthy, 0).result.frame
+        assert got_later.frame == real_execute(later, 0).result.frame
+        assert [p.name for p in (tmp_path / "spool").rglob("*") if p.is_file()] == []
+
+    def test_concurrent_batches_share_one_worker_set(self, tmp_path, monkeypatch):
+        """Two batches driven from two threads through one ``workers=1``
+        backend: both are drained by the backend's one worker, and neither
+        takes, kills or re-runs the other's windows.
+
+        The tags put the spool in the order short A, long A, B. With a
+        worker per batch, B's worker claimed A's long window, A's own worker
+        ran out of work and exited, and A redrained the window it still
+        waited on, so the long window ran twice."""
+        import repro.service.backend as backend_mod
+
+        real_execute = backend_mod.execute_window
+        markers = tmp_path / "markers"
+        markers.mkdir()
+
+        def counted_execute(request, index):
+            stamp = f"{os.getpid()}.{time.monotonic_ns()}"
+            (markers / f"{queue_task_id(request, index)}.{stamp}").touch()
+            return real_execute(request, index)
+
+        monkeypatch.setattr(backend_mod, "execute_window", counted_execute)
+        short_a = observe_request(tag="race/a-short/10")
+        long_a = replace(observe_request(tag="race/a-long/10"), days=1.5)
+        only_b = observe_request(tag="race/b/10")
+        ids = [queue_task_id(request, 0) for request in (short_a, long_a, only_b)]
+        assert ids == sorted(ids), "re-pick tags: the spool must list short A, long A, B"
+        counters = ("queue.redrains", "queue.workers_spawned")
+        before = [OPS_METRICS.counter(name).value for name in counters]
+        with LocalQueueBackend(tmp_path / "spool", workers=1) as backend:
+            got_a, got_b = run_on_threads(
+                backend, [[short_a, long_a], [only_b]], stagger=0.05
+            )
+        after = [OPS_METRICS.counter(name).value for name in counters]
+        assert [a - b for a, b in zip(after, before, strict=True)] == [0, 1]
+        ran = Counter(path.name.split(".")[0] for path in markers.iterdir())
+        assert ran == dict.fromkeys(ids, 1)
+        for got, batch in ((got_a, (short_a, long_a)), (got_b, (only_b,))):
+            assert [outcome.frame for outcome in got] == [
+                real_execute(request, 0).result.frame for request in batch
+            ]
+
+    def test_overlapping_batches_from_many_threads_empty_the_spool(self, tmp_path):
+        """Four threads run batches that share windows on three workers: every
+        batch gets the inline frames, and once all have collected, nothing is
+        left in ``pending/``, ``claimed/`` or ``done/`` — a window two batches
+        wait on is spooled once and cleared by the last to collect it."""
+        requests = [
+            replace(observe_request(tag=f"stress/{i}"), days=0.1) for i in range(3)
+        ]
+        batches = [[requests[i % 3], requests[(i + 1) % 3]] for i in range(4)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with LocalQueueBackend(tmp_path / "spool", workers=3) as backend:
+                got = run_on_threads(backend, batches)
+        finally:
+            sys.setswitchinterval(switch)
+        frames = {r.workload_tag: execute_window(r, 0).result.frame for r in requests}
+        for outcomes, batch in zip(got, batches, strict=True):
+            assert [o.frame for o in outcomes] == [frames[r.workload_tag] for r in batch]
+        assert [p.name for p in (tmp_path / "spool").rglob("*") if p.is_file()] == []
 
 
 # ----------------------------------------------------------------------

@@ -6,12 +6,9 @@ from scipy import stats as scipy_stats
 
 from repro.stats import (
     before_after_effect,
-    bootstrap_ci,
-    describe,
     difference_in_differences,
     one_sample_t_test,
     paired_effect,
-    percentile,
     regularized_incomplete_beta,
     student_t_cdf,
     students_t_test,
@@ -134,37 +131,3 @@ class TestTreatmentEffects:
         )
         assert effect.effect == pytest.approx(5.0, abs=1.5)
         assert effect.significant()
-
-
-class TestBootstrapAndDescribe:
-    def test_bootstrap_ci_contains_mean(self):
-        rng = np.random.default_rng(4)
-        values = rng.normal(50, 5, 300)
-        result = bootstrap_ci(values, rng=rng)
-        assert result.contains(values.mean())
-        assert result.low < result.estimate < result.high
-
-    def test_bootstrap_width_shrinks_with_n(self):
-        rng = np.random.default_rng(5)
-        small = bootstrap_ci(rng.normal(0, 1, 30), rng=rng)
-        large = bootstrap_ci(rng.normal(0, 1, 3000), rng=rng)
-        assert large.width < small.width
-
-    def test_bootstrap_validation(self):
-        with pytest.raises(ValueError):
-            bootstrap_ci(np.array([1.0]))
-
-    def test_describe_fields(self):
-        values = np.arange(1.0, 101.0)
-        d = describe(values)
-        assert d.n == 100
-        assert d.mean == pytest.approx(50.5)
-        assert d.median == pytest.approx(50.5)
-        assert d.minimum == 1.0 and d.maximum == 100.0
-        assert d.p99 == pytest.approx(np.percentile(values, 99))
-
-    def test_percentile_validation(self):
-        with pytest.raises(ValueError):
-            percentile(np.arange(10.0), 101)
-        with pytest.raises(ValueError):
-            percentile(np.array([]), 50)
