@@ -35,7 +35,6 @@ from repro.cluster.cluster import (
 )
 from repro.cluster.config import YarnConfig
 from repro.cluster.simulator import ClusterSimulator, SimulationConfig, SimulationResult
-from repro.cluster.software import MachineGroupKey
 from repro.core.application import (
     APPLICATIONS,
     TuningApplication,
@@ -442,7 +441,7 @@ class Kea:
         there is queued work ready to fill the new slots.
         """
         return self.flight_campaign(
-            tuning.config_deltas,
+            FlightPlan.from_container_deltas(tuning.config_deltas),
             hours=hours,
             machines_per_group=machines_per_group,
             metrics=metrics,
@@ -451,7 +450,7 @@ class Kea:
 
     def flight_campaign(
         self,
-        plan: FlightPlan | dict[MachineGroupKey, int],
+        plan: FlightPlan,
         hours: float = 24.0,
         machines_per_group: int = 8,
         metrics: tuple[str, ...] = ("AverageRunningContainers", "CpuUtilization"),
@@ -464,8 +463,9 @@ class Kea:
 
         ``plan`` is a :class:`~repro.flighting.build.FlightPlan` of arbitrary
         config builds (YARN limits, container deltas, software re-images,
-        power caps, composites) with declarative machine selectors; a bare
-        per-group container-delta dict is accepted as the classic shorthand.
+        power caps, composites) with declarative machine selectors (the
+        classic per-group container-delta pilot is
+        :meth:`~repro.flighting.build.FlightPlan.from_container_deltas`).
         Each entry flights at most half its selected population (capped at
         ``machines_per_group``) so the unflighted half remains the control.
 
@@ -477,10 +477,6 @@ class Kea:
         scheduled actions (e.g. a scenario's fault plan) on the flight
         window's simulator before it runs.
         """
-        if isinstance(plan, dict):
-            plan = FlightPlan.from_container_deltas(plan)
-        elif not isinstance(plan, FlightPlan):
-            plan = FlightPlan(entries=tuple(plan))
         reports: list[FlightReport] = []
         cluster = self.build_cluster()
 
@@ -565,7 +561,7 @@ class Kea:
 
     def staged_rollout(
         self,
-        plan: RolloutPlan | FlightPlan | dict[MachineGroupKey, int],
+        plan: RolloutPlan | FlightPlan,
         policy: RolloutPolicy | None = None,
         days: float = 1.0,
         benchmark_period_hours: float = 0.0,
@@ -578,10 +574,9 @@ class Kea:
         """Ship a validated plan across the fleet in gated waves (§5.2.2).
 
         ``plan`` is a staged :class:`~repro.flighting.deployment.RolloutPlan`,
-        a :class:`~repro.flighting.build.FlightPlan` to stage under ``policy``
-        (default: pilot → 10% → 50% → fleet), or the classic per-group
-        container-delta dict. The rollout executes inside one
-        ``days``-long production window: each wave widens every build's
+        or a :class:`~repro.flighting.build.FlightPlan` to stage under
+        ``policy`` (default: pilot → 10% → 50% → fleet). The rollout
+        executes inside one ``days``-long production window: each wave widens every build's
         coverage to its fleet fraction, the policy's latency gate (or the
         ``gate`` override) is evaluated between waves, and a failing gate
         reverts every already-deployed wave — the fleet ends bit-identical
@@ -629,7 +624,7 @@ class Kea:
 
     def rollout_plan(
         self,
-        plan: RolloutPlan | FlightPlan | dict[MachineGroupKey, int],
+        plan: RolloutPlan | FlightPlan,
         policy: RolloutPolicy | None = None,
         days: float = 1.0,
         checkpoint: RolloutCheckpoint | None = None,
@@ -637,8 +632,6 @@ class Kea:
         """Stage ``plan``, failing an invalid one (bad schedule, overlapping
         selectors, empty selections, a resume without its checkpoint) before
         any window is paid for."""
-        if isinstance(plan, dict):
-            plan = FlightPlan.from_container_deltas(plan)
         if isinstance(plan, FlightPlan):
             plan = RolloutPlan.from_flight_plan(plan, policy)
         elif policy is not None:

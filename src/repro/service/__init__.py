@@ -19,7 +19,8 @@ KEA's value comes from running observe → calibrate → tune → flight → dep
   drained by restartable workers (:class:`LocalQueueBackend`) — all
   bit-identical;
 * :class:`SimulationCache` — memoizes outcomes by (tenant, config hash,
-  workload tag) so repeated what-if questions never re-simulate;
+  workload tag) so repeated what-if questions never re-simulate, holding
+  at most a byte budget of pickled outcomes;
 * :class:`CampaignStore` — versioned, atomically-written campaign records,
   so a restarted service reconstructs every tenant mid-round and resumes
   bit-identically;
@@ -56,13 +57,7 @@ from repro.service.scenarios import (
     ScenarioCatalog,
     default_catalog,
 )
-from repro.service.service import (
-    DEFAULT_CACHE_BUDGET_MB,
-    DEFAULT_CACHE_ENTRIES,
-    ContinuousTuningService,
-    FleetCampaignReport,
-    derive_cache_entries,
-)
+from repro.service.service import ContinuousTuningService, FleetCampaignReport
 from repro.service.store import (
     CAMPAIGN_STATE_VERSION,
     CampaignStore,
@@ -100,7 +95,4 @@ __all__ = [
     "default_catalog",
     "ContinuousTuningService",
     "FleetCampaignReport",
-    "DEFAULT_CACHE_BUDGET_MB",
-    "DEFAULT_CACHE_ENTRIES",
-    "derive_cache_entries",
 ]

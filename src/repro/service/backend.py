@@ -267,15 +267,28 @@ def _atomic_write(path: Path, blob: bytes) -> None:
 _POLL_INTERVAL = 0.02
 
 
+def _spool_order(pending: Path) -> list[Path]:
+    """``pending/``'s tasks, oldest spooled first (ties by name), so a batch
+    waits its turn rather than its ids' hash order. A requeued claim keeps
+    its place: ``os.replace`` keeps a file's mtime."""
+    stamped = []
+    for entry in pending.glob("*.pkl"):
+        try:
+            stamped.append((entry.stat().st_mtime_ns, entry.name, entry))
+        except FileNotFoundError:
+            continue  # claimed between the listing and the stat
+    return [entry for *_, entry in sorted(stamped)]
+
+
 def _drain_worker(spool: str) -> None:
     """Worker-process entry point: claim and execute spooled tasks until the
     backend stops this worker (or its parent process is gone).
 
     Claims by atomically renaming ``pending/<id>.pkl`` to
     ``claimed/<id>.<pid>.pkl`` (the rename succeeds for exactly one worker,
-    and the claim names the worker that holds it), executes the spooled
-    ``(request, window index)`` with
-    :func:`~repro.service.pool.execute_window`, and lands the pickled
+    and the claim names the worker that holds it), oldest spooled first
+    (:func:`_spool_order`). Executes the spooled ``(request, window index)``
+    with :func:`~repro.service.pool.execute_window`, and lands the pickled
     :class:`~repro.service.pool.WindowOutcome` in ``done/<id>.out.pkl`` — or
     the pickled exception in ``done/<id>.err.pkl`` — via write-then-rename.
     An empty ``pending/`` is polled again after a short sleep. A worker
@@ -289,7 +302,7 @@ def _drain_worker(spool: str) -> None:
     done = spool_dir / "done"
     parent, pid = os.getppid(), os.getpid()
     while os.getppid() == parent:
-        for entry in sorted(pending.glob("*.pkl")):
+        for entry in _spool_order(pending):
             task_id = entry.stem
             claim = claimed / f"{task_id}.{pid}.pkl"
             try:
@@ -328,8 +341,9 @@ class LocalQueueBackend(ExecutionBackend):
     :meth:`shutdown` (a later batch starts a new set). Any number of batches — a sharded
     front-end drives one backend from several threads — spool into the
     same ``pending/`` and each waits only for its own task ids in ``done/``.
-    Workers claim tasks by atomic rename into ``claimed/<task_id>.<pid>.pkl``,
-    so a claim names the worker holding it. The batches' wait loops call one
+    Workers claim tasks, oldest spooled first, by atomic rename into
+    ``claimed/<task_id>.<pid>.pkl``, so a claim names the worker holding it
+    and batches are served in the order they spooled. The batches' wait loops call one
     liveness check: a dead worker is replaced and each of its claims is
     charged to its task, which goes back to ``pending/`` until it has
     killed ``max_attempts`` workers and then fails alone — a "gave up"

@@ -9,15 +9,19 @@ two requests with equal keys are guaranteed (by construction in
 :meth:`~repro.service.pool.SimulationRequest.cache_key`) to simulate
 identically, so a hit is always safe to reuse.
 
-The cache is **bounded**: a long-running service would otherwise accumulate
-every window it ever simulated (each holding thousands of machine-hour
-records). ``max_entries`` caps the store with least-recently-used eviction —
-a lookup hit refreshes an entry's recency, so hot baselines survive while
-one-off what-ifs age out.
+The cache is bounded by a **memory budget**, ``max_bytes``
+(:data:`DEFAULT_CACHE_BYTES` unless set). An entry costs its outcome's
+pickled size, measured once when it is stored: that counts every outcome
+kind, including flight, rollout and impact outcomes that carry no frame.
+Least-recently-used entries are evicted until the held total fits — a
+lookup hit refreshes an entry's recency, so hot baselines survive while
+one-off what-ifs age out. The entry just stored is never evicted, so an
+outcome larger than the whole budget is held alone.
 """
 
 from __future__ import annotations
 
+import pickle
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -26,7 +30,11 @@ from repro.obs.metrics import OPS_METRICS
 from repro.service.pool import SimulationOutcome, SimulationRequest
 from repro.utils.errors import ServiceError
 
-__all__ = ["CacheStats", "SimulationCache"]
+__all__ = ["DEFAULT_CACHE_BYTES", "CacheStats", "SimulationCache"]
+
+#: Default memory budget of a :class:`SimulationCache`: 256 MiB of pickled
+#: outcomes.
+DEFAULT_CACHE_BYTES = 256 * 1024 * 1024
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,26 +64,30 @@ class CacheStats:
 
 
 class SimulationCache:
-    """In-memory LRU memo of simulation outcomes, keyed by request identity.
+    """In-memory LRU memo of simulation outcomes, keyed by request identity
+    and bounded by the pickled bytes it holds."""
 
-    ``max_entries`` of None keeps the cache unbounded (tests, short-lived
-    scripts); services should set a bound sized to their working set.
-    """
-
-    def __init__(self, max_entries: int | None = None):
-        if max_entries is not None and max_entries < 1:
-            raise ServiceError(f"max_entries must be >= 1 or None, got {max_entries}")
-        self.max_entries = max_entries
-        self._store: OrderedDict[tuple[str, str, str], SimulationOutcome] = (
-            OrderedDict()
-        )
+    def __init__(self, max_bytes: int = DEFAULT_CACHE_BYTES):
+        if max_bytes < 1:
+            raise ServiceError(f"max_bytes must be >= 1, got {max_bytes}")
+        self.max_bytes = max_bytes
+        # Each entry is (outcome, its pickled size in bytes).
+        self._store: OrderedDict[
+            tuple[str, str, str], tuple[SimulationOutcome, int]
+        ] = OrderedDict()
         # One cache serves every shard thread of a sharded front-end, so
-        # lookups/stores and the LRU reordering they imply are serialized.
+        # lookups/stores, the LRU reordering and the byte total are serialized.
         self._lock = threading.Lock()
+        self._nbytes = 0
         self._hits = 0
         self._misses = 0
         self._evictions = 0
         self._beat_mark = self.stats
+
+    @property
+    def nbytes(self) -> int:
+        """Pickled bytes of the outcomes held now."""
+        return self._nbytes
 
     def lookup(self, request: SimulationRequest) -> SimulationOutcome | None:
         """The cached outcome for ``request``, or None (counts hit/miss).
@@ -85,35 +97,40 @@ class SimulationCache:
         """
         key = request.cache_key()
         with self._lock:
-            outcome = self._store.get(key)
-            if outcome is None:
+            entry = self._store.get(key)
+            if entry is None:
                 self._misses += 1
             else:
                 self._hits += 1
                 self._store.move_to_end(key)
-        if outcome is None:
+        if entry is None:
             OPS_METRICS.counter("cache.misses").inc()
-        else:
-            OPS_METRICS.counter("cache.hits").inc()
-        return outcome
+            return None
+        OPS_METRICS.counter("cache.hits").inc()
+        return entry[0]
 
     def store(self, request: SimulationRequest, outcome: SimulationOutcome) -> None:
         """Memoize ``outcome`` under ``request``'s key, evicting LRU entries
-        beyond ``max_entries``."""
+        until the held bytes fit ``max_bytes`` (never this entry)."""
         key = request.cache_key()
+        cost = len(pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL))
         evicted = 0
         with self._lock:
-            self._store[key] = outcome
-            self._store.move_to_end(key)
-            if self.max_entries is not None:
-                while len(self._store) > self.max_entries:
-                    self._store.popitem(last=False)
-                    self._evictions += 1
-                    evicted += 1
-            size = len(self._store)
+            replaced = self._store.pop(key, None)
+            if replaced is not None:
+                self._nbytes -= replaced[1]
+            self._store[key] = (outcome, cost)
+            self._nbytes += cost
+            while self._nbytes > self.max_bytes and len(self._store) > 1:
+                _, (_, freed) = self._store.popitem(last=False)
+                self._nbytes -= freed
+                evicted += 1
+            self._evictions += evicted
+            size, nbytes = len(self._store), self._nbytes
         if evicted:
             OPS_METRICS.counter("cache.evictions").inc(evicted)
         OPS_METRICS.gauge("cache.size").set(size)
+        OPS_METRICS.gauge("cache.bytes").set(nbytes)
 
     @property
     def stats(self) -> CacheStats:
@@ -142,6 +159,7 @@ class SimulationCache:
         """Drop all entries and reset the counters."""
         with self._lock:
             self._store.clear()
+            self._nbytes = 0
             self._hits = 0
             self._misses = 0
             self._evictions = 0

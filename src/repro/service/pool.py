@@ -32,7 +32,7 @@ from repro.cluster.config import YarnConfig
 from repro.cluster.simulator import ObservationSpec
 from repro.core.kea import DeploymentImpact, Kea, PairedWindow, pair_rollout, paired_impact
 from repro.cost import CostReport
-from repro.flighting.build import PlannedFlight
+from repro.flighting.build import FlightPlan, PlannedFlight
 from repro.flighting.deployment import (
     RolloutCheckpoint,
     RolloutPlan,
@@ -355,7 +355,7 @@ def _single_window(kea: Kea, request: SimulationRequest) -> dict[str, object]:
             "resource_samples": observation.result.resource_samples,
         }
     validation = kea.flight_campaign(
-        request.flights,
+        FlightPlan(entries=request.flights),
         hours=request.flight_hours,
         machines_per_group=request.machines_per_group,
         metrics=request.flight_metrics,

@@ -52,110 +52,10 @@ from repro.service.pool import (
 from repro.service.registry import FleetRegistry
 from repro.service.scenarios import Scenario, ScenarioCatalog, default_catalog
 from repro.service.store import CampaignStore
-from repro.telemetry.frame import MachineHourFrame
 from repro.utils.errors import ServiceError
 from repro.utils.tables import TextTable
 
-__all__ = [
-    "DEFAULT_CACHE_ENTRIES",
-    "DEFAULT_CACHE_BUDGET_MB",
-    "MAX_CACHE_ENTRIES",
-    "derive_cache_entries",
-    "FleetCampaignReport",
-    "ContinuousTuningService",
-]
-
-#: Fallback bound for the simulation cache when nothing is known about the
-#: working set (an empty registry). A tenant-aware service derives its bound
-#: from measured outcome footprints instead — see :func:`derive_cache_entries`.
-DEFAULT_CACHE_ENTRIES = 256
-
-#: Default memory budget the derived cache bound targets. Each cached outcome
-#: holds a full window's machine-hour records (plus any resource samples), so
-#: an unbounded cache is a memory leak for a long-running service.
-DEFAULT_CACHE_BUDGET_MB = 256.0
-
-#: Hard ceiling on the derived bound: beyond this, lookups stay cheap but a
-#: misconfigured budget would hoard gigabytes of telemetry.
-MAX_CACHE_ENTRIES = 4096
-
-#: Simulation-heavy requests one campaign round can issue (observe, flight,
-#: rollout-or-impact): the per-round working set multiplier.
-_REQUESTS_PER_ROUND = 3
-
-
-def _measured_frame_row_bytes() -> int:
-    """Measured columnar footprint of one cached machine-hour row.
-
-    Cached outcomes carry a :class:`MachineHourFrame`: one row is a handful
-    of fixed-width column slots plus its queue waits. The estimate probes a
-    representative frame and divides its :attr:`MachineHourFrame.nbytes`
-    across its rows, so cache sizing tracks the real columnar layout.
-    """
-    frame = MachineHourFrame()
-    for machine_id in range(16):
-        frame.append_hour(
-            machine_id=machine_id,
-            machine_name=f"m{machine_id:06d}",
-            sku="Gen 1.1",
-            software="SC1",
-            rack=0,
-            row=0,
-            subcluster=0,
-            hour=0,
-            cpu_utilization=0.5,
-            avg_running_containers=4.0,
-            total_data_read_bytes=1.0e9,
-            tasks_finished=12,
-            total_cpu_seconds=1800.0,
-            total_task_seconds=3600.0,
-            avg_cores_in_use=8.0,
-            avg_ram_gb_in_use=32.0,
-            avg_ssd_gb_in_use=100.0,
-            avg_power_watts=300.0,
-            power_cap_watts=None,
-            feature_enabled=False,
-            max_running_containers=8,
-            queue_avg_length=0.5,
-            queue_enqueued=6,
-            queue_dequeued=6,
-            queue_waits=[30.0] * 6,
-            available_fraction=1.0,
-            faulted=False,
-        )
-    return max(1, frame.nbytes // len(frame))
-
-
-def derive_cache_entries(
-    registry: FleetRegistry,
-    observe_days: float = 1.0,
-    rounds: int = 4,
-    budget_mb: float = DEFAULT_CACHE_BUDGET_MB,
-) -> int:
-    """Cache bound from measured outcome footprints, not a fixed constant.
-
-    One cached outcome holds roughly *machines × hours* machine-hour rows of
-    columnar frame storage (:func:`_measured_frame_row_bytes` each), so the
-    bound is however many outcomes fit in ``budget_mb`` — floored at the
-    working set one campaign
-    sweep needs (tenants × ``rounds`` × requests per round; evicting inside
-    a sweep would collapse the hit rate of an immediate re-run) and capped
-    at :data:`MAX_CACHE_ENTRIES`. The ceiling wins over the floor: a
-    registry so large its working set exceeds the ceiling gets the ceiling,
-    not an unbounded hoard.
-    """
-    if budget_mb <= 0:
-        raise ServiceError(f"budget_mb must be positive, got {budget_mb}")
-    if observe_days <= 0 or rounds < 1:
-        raise ServiceError("observe_days must be positive and rounds >= 1")
-    machines = max((spec.fleet_spec.total_machines for spec in registry), default=0)
-    if machines == 0:
-        return DEFAULT_CACHE_ENTRIES
-    records_per_window = machines * max(1, round(observe_days * 24.0))
-    outcome_bytes = records_per_window * _measured_frame_row_bytes()
-    fits_budget = int((budget_mb * 1024 * 1024) // max(outcome_bytes, 1))
-    working_set = len(registry) * rounds * _REQUESTS_PER_ROUND
-    return min(max(working_set, fits_budget), MAX_CACHE_ENTRIES)
+__all__ = ["FleetCampaignReport", "ContinuousTuningService"]
 
 
 @dataclass
@@ -314,7 +214,6 @@ class ContinuousTuningService:
         catalog: ScenarioCatalog | None = None,
         cache: SimulationCache | None = None,
         guardrails: CampaignGuardrails | None = None,
-        cache_budget_mb: float = DEFAULT_CACHE_BUDGET_MB,
         tracer: Tracer | None = None,
         backend: ExecutionBackend | None = None,
         store: CampaignStore | None = None,
@@ -340,19 +239,8 @@ class ContinuousTuningService:
         #: launch and after every advance, and :meth:`resume_campaigns`
         #: reconstructs a prior service's tenants mid-round.
         self.store = store
-        # The default cache bound is derived from the registry's measured
-        # outcome footprints (records per window × tenants × rounds), so big
-        # fleets get fewer, heavier entries and small test fleets cache more.
-        # Auto-derived caches may grow at launch() when a campaign's actual
-        # working set exceeds the construction-time estimate.
-        self._cache_auto = cache is None
-        self.cache = (
-            cache
-            if cache is not None
-            else SimulationCache(
-                max_entries=derive_cache_entries(registry, budget_mb=cache_budget_mb)
-            )
-        )
+        #: Memo of simulated windows, bounded by the bytes it holds.
+        self.cache = cache if cache is not None else SimulationCache()
         self.guardrails = guardrails
         self._runs: dict[str, _FleetRun] = {}
         self._run_seq = 0
@@ -389,13 +277,6 @@ class ContinuousTuningService:
         names = tenants if tenants is not None else self.registry.names()
         if not names:
             raise ServiceError("no tenants selected; register some first")
-        if self._cache_auto and self.cache.max_entries is not None:
-            # The construction-time bound assumed a default round count; a
-            # bigger launch must still fit one full sweep (evicting inside a
-            # sweep collapses the hit rate), ceiling permitting.
-            needed = len(names) * rounds * _REQUESTS_PER_ROUND
-            if needed > self.cache.max_entries:
-                self.cache.max_entries = min(needed, MAX_CACHE_ENTRIES)
 
         def _seed(name: str) -> RolloutCheckpoint | None:
             if isinstance(resume_checkpoint, dict):

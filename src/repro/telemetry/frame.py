@@ -423,8 +423,7 @@ class MachineHourFrame:
 
         Counts the numeric columns, categorical codes, wait samples and
         offsets, plus the category label strings — the asymptotically
-        meaningful storage. Used by the service cache to size its entry
-        bound from measured frame footprints.
+        meaningful storage. perfbench reports it as ``telemetry.frame_bytes``.
         """
         n = len(self)
         total = 0

@@ -399,6 +399,32 @@ class TestQueueSpool:
                 real_execute(request, 0).result.frame for request in batch
             ]
 
+    def test_workers_claim_windows_in_spool_order(self, tmp_path, monkeypatch):
+        """A batch spooled later waits behind an earlier one, wherever its
+        task ids sort: with ids in the order A1 < B < A2, one worker runs A1,
+        A2, B. Claiming in id order ran B before A2."""
+        import repro.service.backend as backend_mod
+
+        real_execute = backend_mod.execute_window
+        markers = tmp_path / "markers"
+        markers.mkdir()
+
+        def stamped_execute(request, index):
+            stamp = f"{time.monotonic_ns():020d}"
+            (markers / f"{stamp}.{queue_task_id(request, index)}").touch()
+            return real_execute(request, index)
+
+        monkeypatch.setattr(backend_mod, "execute_window", stamped_execute)
+        a1 = replace(observe_request(tag="order/a1/0"), days=0.5)
+        a2 = observe_request(tag="order/a2/0")
+        only_b = observe_request(tag="order/b/0")
+        a1_id, a2_id, b_id = (queue_task_id(r, 0) for r in (a1, a2, only_b))
+        assert a1_id < b_id < a2_id, "re-pick tags: ids must sort A1, B, A2"
+        with LocalQueueBackend(tmp_path / "spool", workers=1) as backend:
+            run_on_threads(backend, [[a1, a2], [only_b]], stagger=0.05)
+        ran = [path.name.split(".")[1] for path in sorted(markers.iterdir())]
+        assert ran == [a1_id, a2_id, b_id]
+
     def test_overlapping_batches_from_many_threads_empty_the_spool(self, tmp_path):
         """Four threads run batches that share windows on three workers: every
         batch gets the inline frames, and once all have collected, nothing is

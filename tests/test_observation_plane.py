@@ -11,6 +11,8 @@ and the bounded LRU SimulationCache.
 """
 
 import pickle
+import sys
+import threading
 
 import pytest
 
@@ -606,8 +608,11 @@ class TestCacheEviction:
     def _outcome(self, tag):
         return SimulationOutcome(tenant="probe", kind="observe", workload_tag=tag)
 
+    def _cost(self, tag):
+        return len(pickle.dumps(self._outcome(tag), protocol=pickle.HIGHEST_PROTOCOL))
+
     def test_eviction_drops_least_recently_used(self):
-        cache = SimulationCache(max_entries=2)
+        cache = SimulationCache(max_bytes=2 * self._cost("a"))
         a, b, c = (self._request(t) for t in ("a", "b", "c"))
         cache.store(a, self._outcome("a"))
         cache.store(b, self._outcome("b"))
@@ -620,31 +625,68 @@ class TestCacheEviction:
         stats = cache.stats
         assert stats.evictions == 1
         assert stats.size == 2
+        assert cache.nbytes == self._cost("a") + self._cost("c")
 
     def test_restore_of_existing_key_does_not_evict(self):
-        cache = SimulationCache(max_entries=2)
+        cache = SimulationCache(max_bytes=2 * self._cost("a"))
         a, b = self._request("a"), self._request("b")
         cache.store(a, self._outcome("a"))
         cache.store(b, self._outcome("b"))
         cache.store(a, self._outcome("a"))  # overwrite, not a third entry
         assert len(cache) == 2
         assert cache.stats.evictions == 0
+        assert cache.nbytes == self._cost("a") + self._cost("b")
 
-    def test_unbounded_cache_never_evicts(self):
-        cache = SimulationCache()
-        for index in range(64):
-            cache.store(self._request(f"t{index}"), self._outcome(f"t{index}"))
-        assert len(cache) == 64
-        assert cache.stats.evictions == 0
+    def test_oversized_entry_is_held_alone(self):
+        cache = SimulationCache(max_bytes=2 * self._cost("a"))
+        cache.store(self._request("a"), self._outcome("a"))
+        big = "b" * 4 * self._cost("a")
+        cache.store(self._request(big), self._outcome(big))
+        assert len(cache) == 1
+        assert cache.lookup(self._request(big)) is not None
+        assert cache.nbytes == self._cost(big) > cache.max_bytes
+        assert cache.stats.evictions == 1
 
     def test_invalid_bound_rejected(self):
         with pytest.raises(ServiceError):
-            SimulationCache(max_entries=0)
+            SimulationCache(max_bytes=0)
 
     def test_clear_resets_eviction_counter(self):
-        cache = SimulationCache(max_entries=1)
+        cache = SimulationCache(max_bytes=self._cost("a"))
         cache.store(self._request("a"), self._outcome("a"))
         cache.store(self._request("b"), self._outcome("b"))
         assert cache.stats.evictions == 1
         cache.clear()
         assert cache.stats == type(cache.stats)(hits=0, misses=0, size=0, evictions=0)
+        assert cache.nbytes == 0
+
+    def test_concurrent_stores_keep_the_byte_total_exact(self):
+        """Eight threads look up and store the same keys, of unequal cost, in
+        step on one cache that must keep evicting: the byte total still
+        equals the sum of the held entries' costs and fits the bound."""
+        tags = [f"t{i}/" + "x" * (40 * i) for i in range(12)]
+        requests = {tag: self._request(tag) for tag in tags}
+        outcomes = {tag: self._outcome(tag) for tag in tags}
+        cache = SimulationCache(max_bytes=4 * self._cost(tags[-1]))
+
+        def churn() -> None:
+            for step in range(500):
+                tag = tags[step % len(tags)]
+                cache.lookup(requests[tag])
+                cache.store(requests[tag], outcomes[tag])
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=churn) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(switch)
+        assert cache.stats.evictions > 0
+        held = [tag for tag in tags if cache.lookup(requests[tag]) is not None]
+        assert len(held) == len(cache)
+        assert cache.nbytes == sum(self._cost(tag) for tag in held)
+        assert cache.nbytes <= cache.max_bytes

@@ -443,83 +443,6 @@ class TestRequestsAndCache:
             assert service.cache.stats.hits >= 2
 
 
-class TestCacheSizing:
-    def test_bound_derives_from_footprints_not_a_constant(self):
-        from repro.service import DEFAULT_CACHE_ENTRIES, derive_cache_entries
-        from repro.service.service import MAX_CACHE_ENTRIES
-
-        registry = make_registry()
-        derived = derive_cache_entries(registry, budget_mb=256.0)
-        # A bigger budget fits more outcomes; a tighter one fewer (down to
-        # the working-set floor), and the bound never exceeds the ceiling.
-        assert derive_cache_entries(registry, budget_mb=1024.0) >= derived
-        floor = len(registry) * 4 * 3  # tenants × rounds × requests/round
-        assert derive_cache_entries(registry, budget_mb=0.25) == floor
-        assert derive_cache_entries(registry, budget_mb=1e9) == MAX_CACHE_ENTRIES
-        # No tenants: nothing to measure, fall back to the legacy constant.
-        assert derive_cache_entries(FleetRegistry()) == DEFAULT_CACHE_ENTRIES
-        # The ceiling wins over the working-set floor: a huge registry must
-        # not talk the cache into an unbounded hoard.
-        huge = FleetRegistry()
-        for i in range(400):  # 400 × 4 rounds × 3 requests > MAX_CACHE_ENTRIES
-            huge.add(TenantSpec(name=f"t{i}", fleet_spec=small_fleet_spec(), seed=i))
-        assert derive_cache_entries(huge, budget_mb=0.25) == MAX_CACHE_ENTRIES
-
-    def test_bound_shrinks_for_bigger_fleets(self):
-        from repro.cluster import small_application_fleet_spec
-        from repro.service import derive_cache_entries
-
-        small = make_registry()
-        big = FleetRegistry()
-        big.add(
-            TenantSpec(name="big", fleet_spec=small_application_fleet_spec(), seed=1)
-        )
-        assert (
-            small.get("east").fleet_spec.total_machines
-            < big.get("big").fleet_spec.total_machines
-        ), "fixture precondition: the 'big' fleet must out-size the small one"
-        assert derive_cache_entries(big, budget_mb=8.0) <= derive_cache_entries(
-            small, budget_mb=8.0
-        )
-
-    def test_service_uses_the_derived_bound(self):
-        from repro.service import derive_cache_entries
-
-        registry = make_registry()
-        with ContinuousTuningService(
-            registry, backend=ProcessPoolBackend(max_workers=1), cache_budget_mb=32.0
-        ) as service:
-            assert service.cache.max_entries == derive_cache_entries(
-                registry, budget_mb=32.0
-            )
-
-    def test_invalid_budget_rejected(self):
-        from repro.service import derive_cache_entries
-
-        with pytest.raises(ServiceError):
-            derive_cache_entries(make_registry(), budget_mb=0.0)
-
-    def test_auto_cache_grows_to_fit_a_bigger_launch(self):
-        registry = make_registry()
-        with ContinuousTuningService(
-            registry, backend=ProcessPoolBackend(max_workers=1), cache_budget_mb=0.25
-        ) as service:
-            floor = len(registry) * 4 * 3
-            assert service.cache.max_entries == floor
-            # A launch whose sweep outsizes the construction-time estimate
-            # widens the bound so one full sweep still fits.
-            service.launch(scenario="diurnal-baseline", rounds=20)
-            assert service.cache.max_entries == len(registry) * 20 * 3
-        # A user-supplied cache is never resized.
-        with ContinuousTuningService(
-            make_registry(),
-            backend=ProcessPoolBackend(max_workers=1),
-            cache=SimulationCache(max_entries=7),
-        ) as service:
-            service.launch(scenario="diurnal-baseline", rounds=20)
-            assert service.cache.max_entries == 7
-
-
 # ----------------------------------------------------------------------
 # Campaign state machine (unit level: fabricated outcomes)
 # ----------------------------------------------------------------------
@@ -754,12 +677,15 @@ class TestMultiRound:
     def test_second_round_observes_the_adopted_baseline(self):
         registry = FleetRegistry()
         registry.add(TenantSpec(name="west", fleet_spec=small_fleet_spec(), seed=23))
+        cache = SimulationCache(max_bytes=1 << 20)
         with ContinuousTuningService(
-            registry, backend=ProcessPoolBackend(max_workers=1)
+            registry, backend=ProcessPoolBackend(max_workers=1), cache=cache
         ) as service:
             result = service.run_campaigns(
                 scenario="diurnal-baseline", rounds=2, **CAMPAIGN_KW
             )
+        # A user-supplied cache is the service's cache, its bound untouched.
+        assert service.cache is cache and cache.max_bytes == 1 << 20
         report = result.reports["west"]
         assert report.rounds_run == 2
         rounds_seen = {e.round for e in report.history}

@@ -192,11 +192,11 @@ class TestKeaStagedRollout:
         # The reverted fleet ends at baseline capacity.
         assert rollout.impact.capacity_after == rollout.impact.capacity_before
 
-    def test_dict_shorthand_and_policy_staging(self, kea):
+    def test_flight_plan_staged_under_a_policy(self, kea):
         cluster = kea.build_cluster()
         group = sorted(cluster.machines_by_group())[0]
         rollout = kea.staged_rollout(
-            {group: 1},
+            FlightPlan.from_container_deltas({group: 1}),
             policy=RolloutPolicy(fractions=(0.5, 1.0)),
             days=0.25,
             gate=NeverFailGate(),
