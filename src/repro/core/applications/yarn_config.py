@@ -36,6 +36,7 @@ from repro.core.whatif import GroupPrediction, WhatIfEngine
 from repro.optim.lp import LinearProgram, LpSolution
 from repro.utils.errors import OptimizationError
 from repro.utils.tables import TextTable, format_float
+from repro.utils.units import left_sum
 
 __all__ = ["YarnTuningResult", "YarnConfigTuner", "YarnConfigApplication"]
 
@@ -184,20 +185,20 @@ class YarnConfigTuner:
             deltas[key] = magnitude if shift[group] > 0 else -magnitude
         proposed = cluster.yarn_config.with_container_delta(deltas)
 
-        total_weight = sum(weights.values())
+        total_weight = left_sum(weights.values())
         baseline_latency = (
-            sum(
+            left_sum(
                 weights[g] * self.engine.operating_point(g).task_latency
                 for g in groups
             )
             / total_weight
         )
         predicted_latency = (
-            sum(weights[g] * predictions[g].task_latency for g in groups)
+            left_sum(weights[g] * predictions[g].task_latency for g in groups)
             / total_weight
         )
-        baseline_capacity = sum(sizes_by_label[g] * current[g] for g in groups)
-        optimal_capacity = sum(sizes_by_label[g] * optimal[g] for g in groups)
+        baseline_capacity = left_sum(sizes_by_label[g] * current[g] for g in groups)
+        optimal_capacity = left_sum(sizes_by_label[g] * optimal[g] for g in groups)
 
         return YarnTuningResult(
             solution=solution,

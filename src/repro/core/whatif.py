@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ml.huber import HuberRegressor
+from repro.ml.huber import HuberRegressor, _median
 from repro.ml.model import LinearModelBase
 from repro.ml.registry import (
     RELATION_F,
@@ -116,7 +116,7 @@ class WhatIfEngine:
         for record in aggregates:
             by_group.setdefault(record.group, []).append(record)
 
-        calibrated: list[CalibratedRelation] = []
+        fits: list[tuple[str, Relation, np.ndarray, np.ndarray]] = []
         skipped: dict[str, str] = {}
         for group, rows in sorted(by_group.items()):
             rows = [r for r in rows if r.tasks_finished > 0]
@@ -133,26 +133,20 @@ class WhatIfEngine:
             if float(np.std(containers)) < 1e-9 or float(np.std(utilization)) < 1e-9:
                 skipped[group] = "no variance in containers/utilization to learn from"
                 continue
-            calibrated.append(
-                self.registry.calibrate(group, _G, containers, utilization,
-                                        self.model_factory)
-            )
-            calibrated.append(
-                self.registry.calibrate(group, _H, utilization, tasks_per_hour,
-                                        self.model_factory)
-            )
-            calibrated.append(
-                self.registry.calibrate(group, _F, utilization, latency,
-                                        self.model_factory)
-            )
+            fits += [
+                (group, _G, containers, utilization),
+                (group, _H, utilization, tasks_per_hour),
+                (group, _F, utilization, latency),
+            ]
             self._operating_points[group] = GroupOperatingPoint(
                 group=group,
                 n_observations=len(rows),
-                containers=float(np.median(containers)),
-                utilization=float(np.median(utilization)),
-                tasks_per_hour=float(np.median(tasks_per_hour)),
-                task_latency=float(np.median(latency)),
+                containers=_median(containers),
+                utilization=_median(utilization),
+                tasks_per_hour=_median(tasks_per_hour),
+                task_latency=_median(latency),
             )
+        calibrated = self.registry.calibrate_many(fits, self.model_factory)
         return CalibrationReport(calibrated=calibrated, skipped_groups=skipped)
 
     # ------------------------------------------------------------------

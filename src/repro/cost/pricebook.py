@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cluster.sku import DEFAULT_SKUS
+from repro.utils.units import left_sum
 
 __all__ = ["PriceBook", "default_price_book"]
 
@@ -58,7 +59,7 @@ class PriceBook:
         draw is unknowable without one, so only the provisioned machine
         rates are charged.
         """
-        return sum(
+        return left_sum(
             population.count * self.rate_for(population.sku.name)
             for population in fleet_spec.populations
         )

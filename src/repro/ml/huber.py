@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.model import LinearModelBase
+from repro.ml.model import LinearModelBase, weighted_rows
 
 __all__ = ["HuberRegressor"]
 
@@ -24,14 +24,45 @@ _MAD_TO_SIGMA = 1.4826  # MAD of a normal distribution → its sigma
 
 
 def _median(values: np.ndarray) -> float:
-    """``np.median`` of a finite 1-D array (``_validate`` ensures finite),
-    without its generic axis and NaN handling, which dominate IRLS."""
-    ordered = values.copy()
-    ordered.sort()
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return float(ordered[mid])
-    return (float(ordered[mid - 1]) + float(ordered[mid])) / 2.0
+    """``np.median`` of a finite 1-D array, without its generic axis and NaN handling."""
+    return float(_row_medians(values[None, :])[0, 0])
+
+
+def _row_medians(block: np.ndarray) -> np.ndarray:
+    """The median of each row of a 2-D block, as a column, from a row sort."""
+    ordered = block.copy()
+    ordered.sort(axis=1)
+    mid = ordered.shape[1] // 2
+    if ordered.shape[1] % 2:
+        return ordered[:, mid : mid + 1]
+    return (ordered[:, mid - 1 : mid] + ordered[:, mid : mid + 1]) / 2.0
+
+
+def fit_block(x, y, delta: float, max_iter: int, tol: float) -> tuple[np.ndarray, ...]:
+    """Huber IRLS on each row of ``(k, n)`` blocks: slopes, intercepts and iteration counts.
+    A row stops when its fit converges or its residual scale collapses (a (near-)exact fit for
+    >50% of its points, where weights would blow up); a mask freezes it and voids later work."""
+    with np.errstate(all="ignore"):
+        slope, intercept = weighted_rows(x, y, np.ones_like(x))
+        iterations = np.zeros(slope.shape, dtype=np.int64)
+        live = np.ones(slope.shape, dtype=np.bool_)
+        for _ in range(max_iter):
+            iterations += live
+            residuals = y - (intercept + slope * x)
+            deviations = np.abs(residuals - _row_medians(residuals))
+            scale = _MAD_TO_SIGMA * _row_medians(deviations)
+            live &= ~(scale < 1e-12)
+            # Weight 1 within the threshold t, t/|r| beyond it: t/|r| >= 1
+            # exactly when |r| <= t, as t > 0 on live rows.
+            weights = np.minimum(delta * scale / np.abs(residuals), 1.0)
+            new_slope, new_intercept = weighted_rows(x, y, weights)
+            change = np.abs(new_slope - slope) + np.abs(new_intercept - intercept)
+            slope = np.where(live, new_slope, slope)
+            intercept = np.where(live, new_intercept, intercept)
+            live &= ~(change < tol * (1.0 + np.abs(slope) + np.abs(intercept)))
+            if not np.count_nonzero(live):
+                break
+    return slope[:, 0], intercept[:, 0], iterations[:, 0]
 
 
 class HuberRegressor(LinearModelBase):
@@ -49,38 +80,17 @@ class HuberRegressor(LinearModelBase):
         self.tol = tol
         self.n_iterations_ = 0
 
-    def _fit_params(self, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-        # Start from the OLS solution.
-        slope, intercept = self._weighted_fit(x, y, np.ones_like(x))
-        for iteration in range(self.max_iter):
-            residuals = y - (intercept + slope * x)
-            mad = _median(np.abs(residuals - _median(residuals)))
-            scale = _MAD_TO_SIGMA * mad
-            if scale < 1e-12:
-                # (Near-)exact fit for >50% of points; weights would blow up.
-                self.n_iterations_ = iteration + 1
-                break
-            threshold = self.delta * scale
-            abs_res = np.abs(residuals)
-            weights = np.where(abs_res <= threshold, 1.0, threshold / abs_res)
-            new_slope, new_intercept = self._weighted_fit(x, y, weights)
-            change = abs(new_slope - slope) + abs(new_intercept - intercept)
-            slope, intercept = new_slope, new_intercept
-            self.n_iterations_ = iteration + 1
-            if change < self.tol * (1.0 + abs(slope) + abs(intercept)):
-                break
-        return slope, intercept
-
-    @staticmethod
-    def _weighted_fit(
-        x: np.ndarray, y: np.ndarray, weights: np.ndarray
-    ) -> tuple[float, float]:
-        """Closed-form weighted least squares for the affine model."""
-        w_sum = weights.sum()
-        x_mean = float((weights * x).sum() / w_sum)
-        y_mean = float((weights * y).sum() / w_sum)
-        sxx = float((weights * (x - x_mean) ** 2).sum())
-        if sxx == 0.0:
-            return 0.0, y_mean
-        slope = float((weights * (x - x_mean) * (y - y_mean)).sum() / sxx)
-        return slope, y_mean - slope * x_mean
+    @classmethod
+    def fit_many(cls, models, samples) -> None:
+        """Fit the samples of each length (and parameters) as one block."""
+        blocks: dict[tuple, list] = {}
+        for model, (x, y) in zip(models, samples, strict=True):
+            x, y = model._validate(x, y)
+            key = (x.size, model.delta, model.max_iter, model.tol)
+            blocks.setdefault(key, []).append((model, x, y))
+        for (n, *params), members in blocks.items():
+            block, xs, ys = zip(*members, strict=True)
+            fitted = (a.tolist() for a in fit_block(np.array(xs), np.array(ys), *params))
+            for model, *fit in zip(block, *fitted, strict=True):
+                model.slope, model.intercept, model.n_iterations_ = fit
+                model._n_observations = n

@@ -15,7 +15,23 @@ import numpy as np
 
 from repro.utils.errors import ModelNotCalibratedError
 
-__all__ = ["LinearModelBase", "FitSummary"]
+__all__ = ["LinearModelBase", "FitSummary", "weighted_rows"]
+
+
+def weighted_rows(x, y, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted least squares for the affine model on each row of ``(k, n)`` blocks: ``(k, 1)``
+    slopes (0 where x has no spread) and intercepts. Each C-contiguous row is summed with the
+    pairwise kernel of the row alone, so a row's fit is bit for bit its fit alone."""
+    row_sum = np.add.reduce
+    w_sum = row_sum(weights, 1, keepdims=True)
+    x_mean = row_sum(weights * x, 1, keepdims=True) / w_sum
+    y_mean = row_sum(weights * y, 1, keepdims=True) / w_sum
+    dx = x - x_mean
+    sxx = row_sum(weights * dx**2, 1, keepdims=True)
+    sxy = row_sum(weights * dx * (y - y_mean), 1, keepdims=True)
+    spread = sxx != 0.0
+    slope = np.divide(sxy, sxx, out=np.zeros(sxx.shape), where=spread)
+    return slope, np.where(spread, y_mean - slope * x_mean, y_mean)
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,13 +55,19 @@ class LinearModelBase:
 
     # -- fitting -------------------------------------------------------
     def fit(self, x: np.ndarray, y: np.ndarray) -> "LinearModelBase":
-        """Calibrate the model; subclasses implement :meth:`_fit_params`."""
-        x, y = self._validate(x, y)
-        slope, intercept = self._fit_params(x, y)
-        self.slope = float(slope)
-        self.intercept = float(intercept)
-        self._n_observations = x.size
+        """Calibrate the model: a batch of one for :meth:`fit_many`."""
+        self.fit_many([self], [(x, y)])
         return self
+
+    @classmethod
+    def fit_many(cls, models: list["LinearModelBase"], samples: list) -> None:
+        """Fit each model of this type on its ``(x, y)`` sample through
+        :meth:`_fit_params`; a subclass may fit the batch jointly instead."""
+        for model, (x, y) in zip(models, samples, strict=True):
+            x, y = model._validate(x, y)
+            slope, intercept = model._fit_params(x, y)
+            model.slope, model.intercept = float(slope), float(intercept)
+            model._n_observations = x.size
 
     def _fit_params(self, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
         raise NotImplementedError

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.model import LinearModelBase
+from repro.ml.model import LinearModelBase, weighted_rows
 
 __all__ = ["QuantileRegressor"]
 
@@ -35,33 +35,20 @@ class QuantileRegressor(LinearModelBase):
         self.n_iterations_ = 0
 
     def _fit_params(self, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-        # OLS warm start.
-        slope, intercept = self._weighted_fit(x, y, np.ones_like(x))
         scale = max(float(np.std(y)), 1e-9)
         eps = self.eps * scale
+        x, y = x[None, :], y[None, :]  # one-row blocks for weighted_rows
+        slope, intercept = weighted_rows(x, y, np.ones_like(x))  # OLS warm start
         for iteration in range(self.max_iter):
             residuals = y - (intercept + slope * x)
             # Pinball loss rho_tau(r) = r(tau - 1[r<0]); IRLS weight is
             # rho'(r)/r with smoothing to avoid division blow-up near 0.
             asymmetric = np.where(residuals >= 0, self.tau, 1.0 - self.tau)
             weights = asymmetric / np.sqrt(residuals**2 + eps**2)
-            new_slope, new_intercept = self._weighted_fit(x, y, weights)
+            new_slope, new_intercept = weighted_rows(x, y, weights)
             change = abs(new_slope - slope) + abs(new_intercept - intercept)
             slope, intercept = new_slope, new_intercept
             self.n_iterations_ = iteration + 1
             if change < self.tol * (1.0 + abs(slope) + abs(intercept)):
                 break
-        return slope, intercept
-
-    @staticmethod
-    def _weighted_fit(
-        x: np.ndarray, y: np.ndarray, weights: np.ndarray
-    ) -> tuple[float, float]:
-        w_sum = weights.sum()
-        x_mean = float((weights * x).sum() / w_sum)
-        y_mean = float((weights * y).sum() / w_sum)
-        sxx = float((weights * (x - x_mean) ** 2).sum())
-        if sxx == 0.0:
-            return 0.0, y_mean
-        slope = float((weights * (x - x_mean) * (y - y_mean)).sum() / sxx)
-        return slope, y_mean - slope * x_mean
+        return slope[0, 0], intercept[0, 0]

@@ -14,7 +14,7 @@ user can audit every fitted relation.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,12 +64,21 @@ class ModelRegistry:
         model_factory: Callable[[], LinearModelBase],
     ) -> CalibratedRelation:
         """Fit a fresh model for (group, relation) and store it."""
-        model = model_factory()
-        model.fit(x, y)
-        calibrated = CalibratedRelation(
-            group=group, relation=relation, model=model, fit=model.summary(x, y)
-        )
-        self._models[(group, relation.name)] = calibrated
+        return self.calibrate_many([(group, relation, x, y)], model_factory)[0]
+
+    def calibrate_many(
+        self, fits: Sequence[tuple], model_factory: Callable[[], LinearModelBase]
+    ) -> list[CalibratedRelation]:
+        """Fit a fresh model per ``(group, relation, x, y)`` as one
+        :meth:`LinearModelBase.fit_many` batch and store them, in order."""
+        models = [model_factory() for _ in fits]
+        if models:
+            type(models[0]).fit_many(models, [fit[2:] for fit in fits])
+        calibrated = [
+            CalibratedRelation(group, relation, model, model.summary(x, y))
+            for model, (group, relation, x, y) in zip(models, fits, strict=True)
+        ]
+        self._models.update(((c.group, c.relation.name), c) for c in calibrated)
         return calibrated
 
     def get(self, group: str, relation_name: str) -> CalibratedRelation:

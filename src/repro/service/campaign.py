@@ -56,7 +56,7 @@ follow-up campaign) can pick the rollout up where it stopped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from time import perf_counter
 
@@ -471,7 +471,7 @@ class Campaign:
                 f"campaign {self.spec.name!r} expected a {expected!r} outcome, "
                 f"got {outcome.kind!r} for tenant {outcome.tenant!r}"
             )
-        self._charge(outcome)
+        outcome = self._charge(outcome)
         if self.phase is CampaignPhase.OBSERVE:
             self._after_observe(outcome)
         elif self.phase is CampaignPhase.FLIGHT:
@@ -485,8 +485,9 @@ class Campaign:
     def _log(self, phase: CampaignPhase, detail: str) -> None:
         self.history.append(CampaignEvent(round=self.round, phase=phase, detail=detail))
 
-    def _charge(self, outcome: SimulationOutcome) -> None:
-        """Accrue one consumed window's cost against the ledger and metrics.
+    def _charge(self, outcome: SimulationOutcome) -> SimulationOutcome:
+        """Accrue one consumed window's cost against the ledger and metrics;
+        return a priced copy (``outcome`` may be the cache's shared entry).
 
         Machine-hours are the *simulated* fleet time the window covered —
         what the paper's production observation would actually occupy — so a
@@ -506,20 +507,19 @@ class Campaign:
         # the other kinds summarize into effects, so their spend is the
         # provisioned-rate estimate for the window.
         if len(outcome.frame):
-            outcome.cost = frame_cost(outcome.frame, self.price_book)
+            cost = frame_cost(outcome.frame, self.price_book)
         else:
-            outcome.cost = window_cost(
-                self.spec.fleet_spec, self.price_book, window_hours
-            )
+            cost = window_cost(self.spec.fleet_spec, self.price_book, window_hours)
         self.cost_ledger.charge(
             outcome.kind,
             machines * window_hours,
             outcome.timing.elapsed_seconds,
-            dollars=outcome.cost.total_dollars,
+            dollars=cost.total_dollars,
         )
         OPS_METRICS.histogram("campaign.phase_seconds", phase=outcome.kind).observe(
             outcome.timing.elapsed_seconds
         )
+        return replace(outcome, cost=cost)
 
     def _after_observe(self, outcome: SimulationOutcome) -> None:
         monitor = PerformanceMonitor(outcome.frame)

@@ -14,9 +14,12 @@ array plus offsets — so that:
 * derived per-row values (the guarded Table 2 ratios, the group label, the
   queue-wait summaries) are column methods, not per-row objects.
 
-Append buffers are plain Python lists (O(1) appends on the simulator hot
-path); numpy views are materialized lazily per column and cached until the
-next append invalidates them.
+A frame is in one of two states. A *building* frame (the simulator's) holds
+plain Python lists (O(1) appends on the simulator hot path); numpy views are
+materialized lazily per column and cached until the next append invalidates
+them. A *sealed* frame (from unpickling or :meth:`MachineHourFrame.take`)
+holds the numpy arrays themselves, so reading a column costs nothing; an
+append to a sealed frame first turns it back into a building one.
 """
 
 from __future__ import annotations
@@ -118,8 +121,7 @@ class MachineHourFrame:
         # Lazy caches, invalidated by any append.
         self._arrays: dict[str, np.ndarray] = {}
         # Bound-method fast path for append_hour, built lazily so that
-        # anything replacing the buffer lists (take, unpickling) can just
-        # drop it.
+        # sealing (take, unpickling) can just drop it.
         self._appenders: tuple | None = None
 
     # ------------------------------------------------------------------
@@ -220,8 +222,12 @@ class MachineHourFrame:
         ap_offset(len(waits))
 
     def _bind_appenders(self) -> tuple:
-        """Bind the per-row append targets once (dropped when buffers are
-        replaced by :meth:`take` or unpickling)."""
+        """Bind the per-row append targets once (dropped when the frame is
+        sealed), turning a sealed frame's arrays back into list buffers."""
+        if isinstance(self._waits, np.ndarray):
+            self._columns = {name: a.tolist() for name, a in self._columns.items()}
+            self._codes = {name: a.tolist() for name, a in self._codes.items()}
+            self._waits, self._wait_offsets = self._waits.tolist(), self._wait_offsets.tolist()
         cols = self._columns
         self._appenders = (
             cols["machine_id"].append,
@@ -387,7 +393,7 @@ class MachineHourFrame:
     # Slicing
     # ------------------------------------------------------------------
     def take(self, selection) -> "MachineHourFrame":
-        """A new frame holding the selected rows (mask or index array).
+        """A new sealed frame holding the selected rows (mask or index array).
 
         Row order follows the selection (a boolean mask preserves frame
         order), so downstream order-sensitive reductions (float means/sums)
@@ -396,22 +402,19 @@ class MachineHourFrame:
         indices = np.asarray(selection)
         if indices.dtype == np.bool_:
             indices = np.flatnonzero(indices)
-        out = MachineHourFrame()
-        for name in _ALL_COLUMNS:
-            out._columns[name] = self.column(name)[indices].tolist()
-        for name in CATEGORICAL_COLUMNS:
-            out._codes[name] = self.codes(name)[indices].tolist()
-            out._categories[name] = list(self._categories[name])
-            out._category_index[name] = dict(self._category_index[name])
         offsets = self.wait_offsets()
-        waits = self._waits
-        flat: list[float] = []
-        new_offsets = [0]
-        for i in indices.tolist():
-            flat.extend(waits[offsets[i] : offsets[i + 1]])
-            new_offsets.append(len(flat))
-        out._waits = flat
-        out._wait_offsets = new_offsets
+        starts, lengths = offsets[indices], np.diff(offsets)[indices]
+        new_offsets = np.concatenate(([0], np.cumsum(lengths)))
+        # Output wait p of selected row j is waits[starts[j] + p - new_offsets[j]].
+        gather = np.arange(new_offsets[-1]) + np.repeat(starts - new_offsets[:-1], lengths)
+        out = MachineHourFrame.__new__(MachineHourFrame)
+        out.__setstate__({
+            "columns": {name: self.column(name)[indices] for name in _ALL_COLUMNS},
+            "codes": {name: self.codes(name)[indices] for name in CATEGORICAL_COLUMNS},
+            "categories": {name: list(self._categories[name]) for name in CATEGORICAL_COLUMNS},
+            "waits": self.waits_flat()[gather],
+            "wait_offsets": new_offsets,
+        })
         return out
 
     # ------------------------------------------------------------------
@@ -457,8 +460,7 @@ class MachineHourFrame:
         )
 
     def __getstate__(self) -> dict:
-        # Ship compact numpy buffers, never the lazy caches: a pickled frame
-        # crossing the pool boundary rebuilds its column arrays on demand.
+        # Ship compact numpy buffers, never the lazy caches.
         return {
             "columns": {name: self.column(name) for name in _ALL_COLUMNS},
             "codes": {name: self.codes(name) for name in CATEGORICAL_COLUMNS},
@@ -470,18 +472,20 @@ class MachineHourFrame:
         }
 
     def __setstate__(self, state: dict) -> None:
-        self.__init__()
-        self._columns = {
-            name: array.tolist() for name, array in state["columns"].items()
-        }
-        self._codes = {name: array.tolist() for name, array in state["codes"].items()}
+        # A sealed frame. Each array is viewed as numpy's canonical dtype
+        # object, so a re-pickled frame shares the pickle memo with the
+        # np.float64 values beside it, as a frame built from lists does.
+        self._columns = {name: a.view(_DTYPES[name]) for name, a in state["columns"].items()}
+        self._codes = {name: a.view(np.int32) for name, a in state["codes"].items()}
         self._categories = state["categories"]
         self._category_index = {
             name: {label: code for code, label in enumerate(cats)}
             for name, cats in self._categories.items()
         }
-        self._waits = state["waits"].tolist()
-        self._wait_offsets = state["wait_offsets"].tolist()
+        self._waits = state["waits"].view(np.float64)
+        self._wait_offsets = state["wait_offsets"].view(np.int64)
+        self._arrays = {}
+        self._appenders = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MachineHourFrame(rows={len(self)})"

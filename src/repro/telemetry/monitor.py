@@ -15,6 +15,7 @@ import numpy as np
 from repro.telemetry.frame import MachineHourFrame
 from repro.telemetry.metrics import DEFAULT_REGISTRY, MetricRegistry
 from repro.utils.errors import TelemetryError
+from repro.utils.units import left_sum
 
 __all__ = ["MachineDayRecord", "MonitorSnapshot", "PerformanceMonitor"]
 
@@ -261,11 +262,11 @@ class PerformanceMonitor:
     def cluster_average_task_latency(self) -> float:
         """Cluster-wide mean task execution time (the paper's `W̄`).
 
-        The float total uses Python's left-to-right ``sum`` over the column
-        (not numpy's pairwise reduction) so the value stays bit-identical to
-        the historical per-record accumulation.
+        The float total is a left-to-right sum over the column (not numpy's
+        pairwise reduction) so the value stays bit-identical to the
+        historical per-record accumulation.
         """
-        total_seconds = sum(self.frame.column("total_task_seconds").tolist())
+        total_seconds = left_sum(self.frame.column("total_task_seconds").tolist())
         total_tasks = int(self.frame.column("tasks_finished").sum())
         if total_tasks <= 0:
             return 0.0
@@ -273,7 +274,7 @@ class PerformanceMonitor:
 
     def total_data_read_bytes(self) -> float:
         """Cluster-wide Total Data Read over all rows."""
-        return float(sum(self.frame.column("total_data_read_bytes").tolist()))
+        return float(left_sum(self.frame.column("total_data_read_bytes").tolist()))
 
     def snapshot(self) -> MonitorSnapshot:
         """Headline numbers of this window as a :class:`MonitorSnapshot`."""

@@ -1,4 +1,4 @@
-"""Unit constants and conversions.
+"""Unit constants, conversions and float totals.
 
 All internal accounting uses **bytes** for data volume and **seconds** for
 time. These helpers exist so call sites read naturally (``64 * GB``) and so
@@ -6,6 +6,10 @@ benchmarks can print paper-style units (PB per day, hours, ...).
 """
 
 from __future__ import annotations
+
+import functools
+import operator
+from collections.abc import Iterable
 
 __all__ = [
     "KB",
@@ -22,6 +26,7 @@ __all__ = [
     "days",
     "SECONDS_PER_HOUR",
     "SECONDS_PER_DAY",
+    "left_sum",
 ]
 
 KB = 1024
@@ -67,3 +72,9 @@ def hours(n: float) -> float:
 def days(n: float) -> float:
     """Convert days to seconds."""
     return float(n) * SECONDS_PER_DAY
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """``0 + v0 + v1 + ...`` left to right, as ``sum`` did before Python 3.12
+    began compensating float rounding: a total that feeds a digest."""
+    return functools.reduce(operator.add, values, 0)

@@ -16,6 +16,7 @@ import pytest
 
 from tests.conftest import frame_of, make_row, rows_of
 from repro.telemetry import DEFAULT_REGISTRY, PerformanceMonitor
+from repro.telemetry.frame import _ALL_COLUMNS, _DTYPES, CATEGORICAL_COLUMNS
 from repro.telemetry.views import utilization_bands
 
 
@@ -86,6 +87,19 @@ REFERENCE_METRICS = {
 }
 
 
+def assert_canonical_dtypes(frame):
+    """Every array a sealed frame holds, and hands out, carries numpy's
+    canonical dtype object (an unpickled array carries an equal copy)."""
+    for name in _ALL_COLUMNS:
+        assert frame._columns[name].dtype is np.dtype(_DTYPES[name])
+        assert frame.column(name).dtype is np.dtype(_DTYPES[name])
+    for name in CATEGORICAL_COLUMNS:
+        assert frame._codes[name].dtype is np.dtype(np.int32)
+        assert frame.codes(name).dtype is np.dtype(np.int32)
+    assert frame._waits.dtype is frame.waits_flat().dtype is np.dtype(np.float64)
+    assert frame._wait_offsets.dtype is frame.wait_offsets().dtype is np.dtype(np.int64)
+
+
 class TestFrameRoundTrip:
     def test_records_round_trip_exactly(self):
         rows = random_rows()
@@ -116,6 +130,39 @@ class TestFrameRoundTrip:
         clone = pickle.loads(pickle.dumps(frame))
         assert clone == frame
         assert rows_of(clone) == rows_of(frame)
+
+    def test_unpickled_frame_is_sealed_with_canonical_dtypes(self):
+        frame = frame_of(random_rows(seed=3))
+        blob = pickle.dumps(frame)
+        clone = pickle.loads(blob)
+        assert pickle.dumps(clone) == blob
+        assert_canonical_dtypes(clone)
+        # Canonical dtype objects share the pickle memo with np.float64
+        # values beside the frame (flight outcomes carry such statistics).
+        beside = np.float64(0.25)
+        assert pickle.dumps((clone, beside)) == pickle.dumps((frame, beside))
+
+    def test_taken_frame_is_sealed_with_canonical_dtypes(self):
+        frame = frame_of(random_rows(seed=5))
+        taken = frame.take(np.arange(len(frame)))
+        assert pickle.dumps(taken) == pickle.dumps(frame)
+        assert_canonical_dtypes(frame.take(frame.column("hour") < 10))
+
+    @pytest.mark.parametrize("seal", ["unpickle", "take"])
+    def test_append_to_a_sealed_frame_equals_building_from_lists(self, seal):
+        rows = random_rows(n=60, seed=17)
+        built = frame_of(rows)
+        head = frame_of(rows[:40])
+        if seal == "unpickle":
+            sealed = pickle.loads(pickle.dumps(head))
+        else:
+            sealed = built.take(np.arange(40))
+        sealed.column("hour")  # a cached column must not survive the append
+        for row in rows[40:]:
+            sealed.append_hour(*row)
+        assert sealed == built
+        assert rows_of(sealed) == rows
+        assert pickle.dumps(sealed) == pickle.dumps(built)
 
     def test_power_cap_none_encoding(self):
         frame = frame_of([

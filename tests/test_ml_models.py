@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ml import (
     HuberRegressor,
     LinearRegression,
     QuantileRegressor,
 )
+from repro.ml.model import weighted_rows
 from repro.utils.errors import ModelNotCalibratedError
 
 
@@ -121,6 +124,146 @@ class TestHuberRegressor:
             HuberRegressor(delta=0.0)
         with pytest.raises(ValueError):
             HuberRegressor(max_iter=0)
+
+
+def reference_weighted_fit(x, y, weights):
+    """The per-sample weighted least squares that ``weighted_rows`` replaced."""
+    w_sum = weights.sum()
+    x_mean = float((weights * x).sum() / w_sum)
+    y_mean = float((weights * y).sum() / w_sum)
+    sxx = float((weights * (x - x_mean) ** 2).sum())
+    if sxx == 0.0:
+        return 0.0, y_mean
+    slope = float((weights * (x - x_mean) * (y - y_mean)).sum() / sxx)
+    return slope, y_mean - slope * x_mean
+
+
+def reference_huber(x, y, delta=1.345, max_iter=100, tol=1e-8):
+    """The per-row IRLS that ``huber.fit_block`` replaced: one sample, one
+    loop, Python-float scalars. Returns (slope, intercept, iterations)."""
+
+    def weighted_fit(weights):
+        return reference_weighted_fit(x, y, weights)
+
+    slope, intercept = weighted_fit(np.ones_like(x))
+    iterations = 0
+    for iteration in range(max_iter):
+        residuals = y - (intercept + slope * x)
+        scale = 1.4826 * float(np.median(np.abs(residuals - np.median(residuals))))
+        iterations = iteration + 1
+        if scale < 1e-12:
+            break
+        threshold = delta * scale
+        abs_res = np.abs(residuals)
+        with np.errstate(divide="ignore"):  # a zero residual keeps weight 1
+            weights = np.where(abs_res <= threshold, 1.0, threshold / abs_res)
+        new_slope, new_intercept = weighted_fit(weights)
+        change = abs(new_slope - slope) + abs(new_intercept - intercept)
+        slope, intercept = new_slope, new_intercept
+        if change < tol * (1.0 + abs(slope) + abs(intercept)):
+            break
+    return slope, intercept, iterations
+
+
+ROW_KINDS = ("noisy", "outliers", "exact", "mostly_exact", "constant_x", "ties")
+
+
+def huber_row(kind, n, rng):
+    """One (x, y) sample of length ``n`` shaped to reach one IRLS branch."""
+    x = rng.uniform(0.0, 40.0, n)
+    if kind == "ties":
+        x = rng.integers(0, 4, n).astype(float)
+        return x, rng.integers(0, 3, n) + 0.5 * x
+    if kind == "constant_x":  # sxx == 0: slope 0, intercept the mean
+        return np.full(n, rng.uniform(1.0, 9.0)), rng.normal(5.0, 2.0, n)
+    y = 0.3 + 0.02 * x
+    if kind == "exact":  # residual scale < 1e-12 on the first iteration
+        return x, y
+    if kind == "mostly_exact":
+        y = y.copy()
+        y[: (n - 1) // 2] += rng.normal(0.0, 5.0, (n - 1) // 2)
+        return x, y
+    y = y + rng.standard_t(2.0, n) * 0.05
+    if kind == "outliers":
+        y[rng.random(n) < 0.2] += rng.uniform(-30.0, 30.0)
+    return x, y
+
+
+def _bits(model):
+    return (model.slope.hex(), model.intercept.hex(), model.n_iterations_)
+
+
+def _reference_bits(x, y, **params):
+    slope, intercept, iterations = reference_huber(x, y, **params)
+    return (float(slope).hex(), float(intercept).hex(), iterations)
+
+
+class TestHuberBlockFit:
+    """``fit_block`` runs the one IRLS loop over same-length rows; every row
+    must come out as the per-row reference would fit it, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(2, 40), min_size=1, max_size=3),
+        kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_fits_equal_the_per_row_reference(self, sizes, kinds, seed):
+        rng = np.random.default_rng(seed)
+        samples = [
+            huber_row(kind, sizes[i % len(sizes)], rng) for i, kind in enumerate(kinds)
+        ]
+        models = [HuberRegressor() for _ in samples]
+        HuberRegressor.fit_many(models, samples)
+        for model, (x, y) in zip(models, samples, strict=True):
+            assert _bits(model) == _reference_bits(x, y)
+            assert _bits(HuberRegressor().fit(x, y)) == _reference_bits(x, y)
+
+    def test_one_block_mixes_every_stopping_rule(self):
+        rng = np.random.default_rng(3)
+        samples = [huber_row(kind, 24, rng) for kind in ROW_KINDS * 2]
+        models = [HuberRegressor() for _ in samples]
+        HuberRegressor.fit_many(models, samples)
+        iterations = [model.n_iterations_ for model in models]
+        assert iterations[ROW_KINDS.index("exact")] == 1
+        assert models[ROW_KINDS.index("constant_x")].slope == 0.0
+        assert len(set(iterations)) > 3  # rows stop at different iterations
+        for model, (x, y) in zip(models, samples, strict=True):
+            assert _bits(model) == _reference_bits(x, y)
+
+    def test_models_with_other_parameters_fit_in_their_own_block(self):
+        rng = np.random.default_rng(5)
+        samples = [huber_row("outliers", 12, rng) for _ in range(4)]
+        params = [{}, {"delta": 0.5}, {"max_iter": 2}, {"tol": 1e-3}]
+        models = [HuberRegressor(**p) for p in params]
+        HuberRegressor.fit_many(models, samples)
+        for model, p, (x, y) in zip(models, params, samples, strict=True):
+            assert _bits(model) == _reference_bits(x, y, **p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_weighted_rows_equal_the_per_sample_reference(self, n, kinds, seed):
+        """The shared least-squares step (Huber, quantile and OLS fits) under
+        arbitrary positive weights, row by row."""
+        rng = np.random.default_rng(seed)
+        rows = [huber_row(kind, n, rng) for kind in kinds]
+        x, y = (np.array(side) for side in zip(*rows, strict=True))
+        weights = rng.uniform(0.01, 1.0, x.shape)
+        slopes, intercepts = weighted_rows(x, y, weights)
+        for row in range(len(kinds)):
+            want = reference_weighted_fit(x[row], y[row], weights[row])
+            got = (float(slopes[row, 0]), float(intercepts[row, 0]))
+            assert [v.hex() for v in got] == [float(v).hex() for v in want]
+
+    def test_fit_many_validates_each_sample(self):
+        with pytest.raises(ValueError):
+            HuberRegressor.fit_many(
+                [HuberRegressor()], [(np.array([1.0, np.nan]), np.array([1.0, 2.0]))]
+            )
 
 
 class TestQuantileRegressor:

@@ -15,6 +15,7 @@ behaviour change re-baselines the file, from the repo root::
 
 import hashlib
 import json
+import pickle
 import sys
 from pathlib import Path
 
@@ -635,6 +636,18 @@ class TestEndToEnd:
         assert rerun.cache_stats.misses == 0
         for name, report in rerun.reports.items():
             assert report.final_phase == serial_run.reports[name].final_phase
+
+    def test_cached_outcomes_stay_unpriced(self, serial_service, serial_run):
+        """Campaigns price a copy: an outcome in the cache is never priced
+        in place, so its measured byte cost still holds and a replay is not
+        handed another campaign's price."""
+        held = [outcome for outcome, _size in serial_service.cache._store.values()]
+        assert held and serial_run.simulations_executed > 0
+        assert all(outcome.cost is None for outcome in held)
+        assert serial_service.cache.nbytes == sum(
+            len(pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL))
+            for outcome in held
+        )
 
     def test_strict_guardrails_force_end_to_end_rollback(self):
         guardrails = CampaignGuardrails(

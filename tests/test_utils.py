@@ -19,6 +19,7 @@ from repro.utils import (
     hours,
     minutes,
 )
+from repro.utils.units import left_sum
 
 
 class TestRngStreams:
@@ -79,6 +80,12 @@ class TestUnits:
     def test_time_helpers(self):
         assert minutes(2) == 120.0
         assert hours(1.5) == 5400.0
+
+    def test_left_sum_folds_left_to_right_without_compensation(self):
+        # Python 3.12+'s built-in sum compensates and returns 1.0 here.
+        assert left_sum([1e16, 1.0, -1e16]) == 0.0
+        assert left_sum([0.1] * 10) == 0.9999999999999999
+        assert left_sum([]) == 0
 
 
 class TestTextTable:

@@ -1,12 +1,18 @@
 """Tests for the What-if Engine on synthetic telemetry with known relations."""
 
+import cProfile
+import os
+import pstats
+
 import pytest
 
+import repro
 from repro.core.whatif import WhatIfEngine
 from repro.ml import LinearRegression
 from repro.telemetry.monitor import PerformanceMonitor
 from repro.utils.errors import ModelNotCalibratedError, TelemetryError
 from tests.conftest import frame_of, synthetic_group_records, synthetic_group_rows
+from tests.test_analysis_golden import scenario_frame
 
 
 @pytest.fixture()
@@ -79,3 +85,51 @@ class TestCalibration:
         # synthetic task counts, so the floor is looser.
         assert report.min_r_squared() > 0.7
         assert len(report.calibrated) == 3  # g, h, f for one group
+
+
+class TestCallBudget:
+    """Calibration has a fixed Python call budget (ROADMAP aim 1's work
+    counter for the analysis layer).
+
+    The counter is the calls that ``repro`` frames make under
+    :mod:`cProfile`: to package functions, builtins and numpy's public
+    functions (a numpy function with Python-level dispatch counts its
+    dispatcher too). It leaves out what varies between numpy releases and
+    interpreters: numpy's calls to its own internals, and calls to
+    list/dict/set comprehension frames, which Python 3.12 inlines into their
+    function. The plain cProfile total is no budget: it read 7,889 or 7,899
+    for the same per-row code on one interpreter (see
+    :func:`calls_made_by_package`). On the ``sc-migration`` golden frame
+    (5 groups, 15 Huber fits of 6 or 12 machine-days), one ``calibrate`` made
+    4,519 counted calls when each fit ran its own IRLS loop and 1,676 with
+    one IRLS block per sample length; the budget leaves 19% headroom.
+    """
+
+    BUDGET = 2000
+
+    def test_calls_per_calibrate_within_budget(self):
+        frame = scenario_frame("sc-migration")
+        WhatIfEngine().calibrate(PerformanceMonitor(frame))  # warm column caches
+        profiler = cProfile.Profile()
+        profiler.enable()
+        try:
+            report = WhatIfEngine().calibrate(PerformanceMonitor(frame))
+        finally:
+            profiler.disable()
+        assert len(report.calibrated) == 15
+        assert calls_made_by_package(profiler) <= self.BUDGET
+
+
+def calls_made_by_package(profiler: cProfile.Profile) -> int:
+    """Calls whose caller is a ``repro`` frame, comprehension frames aside.
+    Calls to code built by ``exec`` (dataclass ``__init__``) are left out too:
+    cProfile files all of it under one ``<string>`` label, so their counts
+    overwrite one another in an order that varies from run to run."""
+    package = os.path.dirname(repro.__file__)
+    return sum(
+        calls
+        for (file, _, callee), (*_, callers) in pstats.Stats(profiler).stats.items()
+        if file != "<string>" and callee not in ("<listcomp>", "<dictcomp>", "<setcomp>")
+        for (caller_file, _, _), (calls, *_) in callers.items()
+        if caller_file.startswith(package)
+    )
