@@ -10,6 +10,7 @@ import numpy as np
 
 from benchmarks.common import emit
 from repro.ml import HuberRegressor, LinearRegression
+from repro.telemetry import DEFAULT_REGISTRY
 from repro.utils.tables import TextTable
 
 CORRUPTION_RATES = (0.0, 0.05, 0.10, 0.20)
@@ -18,11 +19,12 @@ CORRUPTION_RATES = (0.0, 0.05, 0.10, 0.20)
 def test_ablation_huber_vs_ols(benchmark, production_run):
     _, _, monitor = production_run
     group = monitor.groups()[0]
-    aggregates = [a for a in monitor.daily_aggregates() if a.group == group]
+    days = monitor.daily_aggregates()
+    in_group = days.column("group") == group
     # Not enough daily points for a stable ablation? fall back to hour level.
-    if len(aggregates) >= 30:
-        x = np.array([a.cpu_utilization for a in aggregates])
-        y = np.array([a.avg_task_seconds for a in aggregates])
+    if np.count_nonzero(in_group) >= 30:
+        x = days.column("cpu_utilization")[in_group]
+        y = DEFAULT_REGISTRY.get("AverageTaskSeconds").extract(days)[in_group]
     else:
         sub = monitor.filter(group=group)
         x = sub.metric("CpuUtilization")

@@ -22,7 +22,7 @@ configuration change, not workload luck.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +62,8 @@ from repro.obs.trace import current_tracer
 from repro.flighting.safety import GateVerdict, SafetyGate
 from repro.stats.treatment import TreatmentEffect, paired_effect
 from repro.telemetry.frame import MachineHourFrame
-from repro.telemetry.monitor import PerformanceMonitor
+from repro.telemetry.metrics import DEFAULT_REGISTRY
+from repro.telemetry.monitor import MachineDays, PerformanceMonitor
 from repro.utils.errors import ApplicationError, ConfigurationError
 from repro.utils.rng import RngStreams
 from repro.workload.generator import WorkloadGenerator, estimate_jobs_per_hour
@@ -776,21 +777,27 @@ def pair_rollout(baseline: PairedWindow, treatment: PairedWindow) -> StagedRollo
 
 
 def paired_impact(before: PairedWindow, after: PairedWindow) -> DeploymentImpact:
-    """§5.2.2 treatment-effect evaluation of two identical-workload windows."""
-    before_days = PerformanceMonitor(before.frame).daily_aggregates()
-    after_days = PerformanceMonitor(after.frame).daily_aggregates()
+    """§5.2.2 treatment-effect evaluation of two identical-workload windows.
 
-    def paired_machine_day(field: str) -> tuple[np.ndarray, np.ndarray]:
-        before_vals = {(a.machine_id, a.day): getattr(a, field) for a in before_days}
-        after_vals = {(a.machine_id, a.day): getattr(a, field) for a in after_days}
-        keys = sorted(set(before_vals) & set(after_vals))
-        return (
-            np.array([before_vals[k] for k in keys]),
-            np.array([after_vals[k] for k in keys]),
+    Machine-days pair on ``(machine_id, day)``. A machine re-imaged mid-day
+    has one bucket per group that day; its last bucket (by group label)
+    stands for the machine-day.
+    """
+    before_days, before_keys, before_last = _machine_days(before.frame)
+    after_days, after_keys, after_last = _machine_days(after.frame)
+    _, before_at, after_at = np.intersect1d(
+        before_keys, after_keys, assume_unique=True, return_indices=True
+    )
+
+    def paired_machine_day(metric: str) -> TreatmentEffect:
+        extract = DEFAULT_REGISTRY.get(metric).extract
+        return paired_effect(
+            extract(before_days)[before_last[before_at]],
+            extract(after_days)[after_last[after_at]],
         )
 
-    throughput = paired_effect(*paired_machine_day("total_data_read_bytes"))
-    latency = paired_effect(*paired_machine_day("avg_task_seconds"))
+    throughput = paired_machine_day("TotalDataRead")
+    latency = paired_machine_day("AverageTaskSeconds")
 
     benchmark_change: dict[str, float] = {}
     before_bench = before.benchmark_runtimes
@@ -808,6 +815,17 @@ def paired_impact(before: PairedWindow, after: PairedWindow) -> DeploymentImpact
         capacity_after=after.capacity,
         benchmark_runtime_change=benchmark_change,
     )
+
+
+def _machine_days(frame: MachineHourFrame) -> tuple[MachineDays, np.ndarray, np.ndarray]:
+    """A frame's machine-days, their sorted distinct ``(machine_id, day)``
+    keys, and the index of each key's last bucket."""
+    days = PerformanceMonitor(frame).daily_aggregates()
+    keys = np.empty(len(days), dtype=[("machine_id", np.int64), ("day", np.int64)])
+    keys["machine_id"] = days.column("machine_id")
+    keys["day"] = days.column("day")
+    unique, from_end = np.unique(keys[::-1], return_index=True)
+    return days, unique, len(keys) - 1 - from_end
 
 
 def _benchmark_runtimes(observation: Observation) -> dict[str, list[float]]:

@@ -34,7 +34,8 @@ from repro.ml.registry import (
     ModelRegistry,
     Relation,
 )
-from repro.telemetry.monitor import MachineDayRecord, PerformanceMonitor
+from repro.telemetry.metrics import ratio_columns
+from repro.telemetry.monitor import PerformanceMonitor
 from repro.utils.errors import ModelNotCalibratedError, TelemetryError
 
 __all__ = ["GroupOperatingPoint", "GroupPrediction", "CalibrationReport", "WhatIfEngine"]
@@ -109,27 +110,28 @@ class WhatIfEngine:
     # ------------------------------------------------------------------
     def calibrate(self, monitor: PerformanceMonitor) -> CalibrationReport:
         """Fit g/h/f for every machine group with enough daily observations."""
-        aggregates = monitor.daily_aggregates()
-        if not aggregates:
+        days = monitor.daily_aggregates()
+        if not len(days):
             raise TelemetryError("no machine-day observations to calibrate from")
-        by_group: dict[str, list[MachineDayRecord]] = {}
-        for record in aggregates:
-            by_group.setdefault(record.group, []).append(record)
+        groups, tasks = days.column("group"), days.column("tasks_finished")
+        day_tasks_per_hour = ratio_columns(tasks, days.column("hours_observed"))
+        day_latency = ratio_columns(days.column("total_task_seconds"), tasks)
 
         fits: list[tuple[str, Relation, np.ndarray, np.ndarray]] = []
         skipped: dict[str, str] = {}
-        for group, rows in sorted(by_group.items()):
-            rows = [r for r in rows if r.tasks_finished > 0]
-            if len(rows) < self.min_observations:
+        for group in sorted(set(groups.tolist())):
+            rows = (groups == group) & (tasks > 0)
+            n_rows = int(np.count_nonzero(rows))
+            if n_rows < self.min_observations:
                 skipped[group] = (
-                    f"only {len(rows)} usable machine-day observations "
+                    f"only {n_rows} usable machine-day observations "
                     f"(need {self.min_observations})"
                 )
                 continue
-            containers = np.array([r.avg_running_containers for r in rows])
-            utilization = np.array([r.cpu_utilization for r in rows])
-            tasks_per_hour = np.array([r.tasks_per_hour for r in rows])
-            latency = np.array([r.avg_task_seconds for r in rows])
+            containers = days.column("avg_running_containers")[rows]
+            utilization = days.column("cpu_utilization")[rows]
+            tasks_per_hour = day_tasks_per_hour[rows]
+            latency = day_latency[rows]
             if float(np.std(containers)) < 1e-9 or float(np.std(utilization)) < 1e-9:
                 skipped[group] = "no variance in containers/utilization to learn from"
                 continue
@@ -140,7 +142,7 @@ class WhatIfEngine:
             ]
             self._operating_points[group] = GroupOperatingPoint(
                 group=group,
-                n_observations=len(rows),
+                n_observations=n_rows,
                 containers=_median(containers),
                 utilization=_median(utilization),
                 tasks_per_hour=_median(tasks_per_hour),

@@ -7,12 +7,14 @@ exact shape of Table 4.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.experiment.design import GroupAssignment, TimeSlice
 from repro.stats.ttest import TTestResult, students_t_test
+from repro.telemetry.metrics import DEFAULT_REGISTRY
 from repro.telemetry.monitor import PerformanceMonitor
 from repro.utils.errors import ExperimentError
 
@@ -67,27 +69,51 @@ class ABReport:
         return "experiment" if experiment_wins else "control"
 
 
+#: Metrics tested on machine-day values: their extractors read only the
+#: columns :meth:`PerformanceMonitor.daily_aggregates` keeps.
+_DAILY_METRICS = frozenset({
+    "TotalDataRead", "AverageTaskSeconds", "NumberOfTasks", "CpuUtilization",
+    "AverageRunningContainers", "BytesPerSecond", "BytesPerCpuTime",
+})
+
+
 def _per_machine_daily(monitor: PerformanceMonitor, metric: str) -> np.ndarray:
     """Observation vector for testing: machine-day values of the metric.
 
     Daily aggregation keeps observations roughly independent (hour-level
     records of one machine are strongly autocorrelated, which would inflate
-    t-values).
+    t-values). Metrics without a daily aggregate fall back to hour level.
     """
-    aggregates = monitor.daily_aggregates()
-    field_map = {
-        "TotalDataRead": lambda a: a.total_data_read_bytes,
-        "AverageTaskSeconds": lambda a: a.avg_task_seconds,
-        "NumberOfTasks": lambda a: float(a.tasks_finished),
-        "CpuUtilization": lambda a: a.cpu_utilization,
-        "AverageRunningContainers": lambda a: a.avg_running_containers,
-        "BytesPerSecond": lambda a: a.bytes_per_second,
-        "BytesPerCpuTime": lambda a: a.bytes_per_cpu_time,
-    }
-    if metric in field_map:
-        return np.array([field_map[metric](a) for a in aggregates])
-    # Fall back to hour-level values for metrics without a daily aggregate.
+    if metric in _DAILY_METRICS:
+        return DEFAULT_REGISTRY.get(metric).extract(monitor.daily_aggregates())
     return monitor.metric(metric)
+
+
+def _report(
+    name: str,
+    control: PerformanceMonitor,
+    experiment: PerformanceMonitor,
+    metrics: tuple[str, ...],
+    values: Callable[[PerformanceMonitor, str], np.ndarray] = PerformanceMonitor.metric,
+) -> ABReport:
+    """Student's t-test of control vs experiment ``values`` on each metric."""
+    comparisons = []
+    for metric in metrics:
+        c, e = values(control, metric), values(experiment, metric)
+        comparisons.append(
+            MetricComparison(
+                metric=metric,
+                control_mean=float(np.mean(c)),
+                experiment_mean=float(np.mean(e)),
+                test=students_t_test(c, e),
+            )
+        )
+    return ABReport(
+        name=name,
+        comparisons=comparisons,
+        n_control=len(control),
+        n_experiment=len(experiment),
+    )
 
 
 def compare_groups(
@@ -107,25 +133,8 @@ def compare_groups(
             f"experiment {name!r}: not enough records "
             f"({len(control)} control, {len(experiment)} experiment)"
         )
-    comparisons = []
-    for metric in metrics:
-        c = _per_machine_daily(control, metric) if daily else control.metric(metric)
-        e = _per_machine_daily(experiment, metric) if daily else experiment.metric(metric)
-        test = students_t_test(c, e)
-        comparisons.append(
-            MetricComparison(
-                metric=metric,
-                control_mean=float(np.mean(c)),
-                experiment_mean=float(np.mean(e)),
-                test=test,
-            )
-        )
-    return ABReport(
-        name=name,
-        comparisons=comparisons,
-        n_control=len(control),
-        n_experiment=len(experiment),
-    )
+    values = _per_machine_daily if daily else PerformanceMonitor.metric
+    return _report(name, control, experiment, metrics, values)
 
 
 def compare_time_slices(
@@ -152,20 +161,4 @@ def compare_time_slices(
     experiment = PerformanceMonitor(monitor.frame.take(np.isin(hours, list(experiment_hours))))
     if len(control) < 2 or len(experiment) < 2:
         raise ExperimentError(f"time-sliced experiment {name!r} lacks telemetry")
-    comparisons = []
-    for metric in metrics:
-        c = control.metric(metric)
-        e = experiment.metric(metric)
-        test = students_t_test(c, e)
-        comparisons.append(
-            MetricComparison(
-                metric=metric,
-                control_mean=float(np.mean(c)),
-                experiment_mean=float(np.mean(e)),
-                test=test,
-            )
-        )
-    return ABReport(
-        name=name, comparisons=comparisons, n_control=len(control),
-        n_experiment=len(experiment),
-    )
+    return _report(name, control, experiment, metrics)

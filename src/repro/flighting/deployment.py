@@ -37,7 +37,6 @@ from dataclasses import dataclass, field, replace
 from time import perf_counter
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.config import GroupLimits, YarnConfig
 from repro.cluster.machine import Machine
 from repro.cluster.simulator import ClusterSimulator
 from repro.flighting.build import (
@@ -550,30 +549,14 @@ class RolloutExecution:
 
 
 class DeploymentModule:
-    """Executes staged rollouts, honoring the conservative ±`max_step` rule."""
+    """Executes staged rollouts on one cluster.
 
-    def __init__(self, cluster: Cluster, max_step: int = 1):
-        if max_step < 1:
-            raise ConfigurationError("max_step must be >= 1")
+    The conservative ±step rule is applied when the plan is built
+    (:attr:`RolloutPolicy.max_step`), not here.
+    """
+
+    def __init__(self, cluster: Cluster):
         self.cluster = cluster
-        self.max_step = max_step
-
-    # ------------------------------------------------------------------
-    # Plan construction
-    # ------------------------------------------------------------------
-    def clamp_to_step(self, target: YarnConfig) -> YarnConfig:
-        """Clamp per-group container changes to ±``max_step`` vs current."""
-        current = self.cluster.yarn_config
-        clamped = current.copy()
-        for key, limits in target.limits.items():
-            now = current.for_group(key).max_running_containers
-            desired = limits.max_running_containers
-            step = max(-self.max_step, min(self.max_step, desired - now))
-            clamped.limits[key] = GroupLimits(
-                max_running_containers=now + step,
-                max_queued_containers=limits.max_queued_containers,
-            )
-        return clamped
 
     # ------------------------------------------------------------------
     # Execution on a simulator

@@ -1,5 +1,6 @@
-"""Telemetry: the machine-hour frame, job/task/resource records, the Table 2
-metric registry, the Performance Monitor, and dashboard-style views."""
+"""Telemetry: the machine-hour frame, the machine-day columns the monitor
+aggregates it to, job/task/resource records, the Table 2 metric registry, the
+Performance Monitor, and dashboard-style views."""
 
 from repro.telemetry.export import (
     read_machine_hours_csv,
@@ -13,7 +14,7 @@ from repro.telemetry.metrics import (
     MetricRegistry,
 )
 from repro.telemetry.monitor import (
-    MachineDayRecord,
+    MachineDays,
     MonitorSnapshot,
     PerformanceMonitor,
 )
@@ -38,7 +39,7 @@ __all__ = [
     "DEFAULT_REGISTRY",
     "Metric",
     "MetricRegistry",
-    "MachineDayRecord",
+    "MachineDays",
     "MonitorSnapshot",
     "PerformanceMonitor",
     "JobRecord",

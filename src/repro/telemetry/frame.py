@@ -11,8 +11,9 @@ array plus offsets — so that:
   (:meth:`MachineHourFrame.append_hour` is the only append entry point);
 * monitors filter with boolean masks and extract metrics as single numpy
   expressions;
-* derived per-row values (the guarded Table 2 ratios, the group label, the
-  queue-wait summaries) are column methods, not per-row objects.
+* derived per-row values (the group label, the queue-wait summaries) are
+  column methods, not per-row objects; the guarded Table 2 ratios are
+  extractors in :mod:`repro.telemetry.metrics`.
 
 A frame is in one of two states. A *building* frame (the simulator's) holds
 plain Python lists (O(1) appends on the simulator hot path); numpy views are
@@ -73,21 +74,6 @@ _DTYPES = (
 
 #: NaN encodes ``power_cap_watts is None`` in the float column.
 _NAN = float("nan")
-
-
-def ratio_columns(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Elementwise ``num / den`` with 0.0 where ``den <= 0``.
-
-    The guarded-ratio convention of every derived machine-hour metric: a
-    non-positive denominator yields 0.0. IEEE-754 double division is bitwise
-    identical between Python floats and numpy float64, so the vectorized
-    ratio equals the scalar ``num / den`` bit for bit.
-    """
-    num = np.asarray(num, dtype=np.float64)
-    den = np.asarray(den, dtype=np.float64)
-    out = np.zeros(num.shape, dtype=np.float64)
-    np.divide(num, den, out=out, where=den > 0)
-    return out
 
 
 class MachineHourFrame:
@@ -367,27 +353,6 @@ class MachineHourFrame:
             if hi > lo:
                 out[i] = np.mean(flat[lo:hi])
         return out
-
-    # ------------------------------------------------------------------
-    # Derived columns (Table 2 ratios, 0.0 on a non-positive denominator)
-    # ------------------------------------------------------------------
-    def bytes_per_second(self) -> np.ndarray:
-        """Table 2 'Bytes per Second': data read over total task time."""
-        return ratio_columns(
-            self.column("total_data_read_bytes"), self.column("total_task_seconds")
-        )
-
-    def bytes_per_cpu_time(self) -> np.ndarray:
-        """Table 2 'Bytes per CPU Time': data read over total CPU time."""
-        return ratio_columns(
-            self.column("total_data_read_bytes"), self.column("total_cpu_seconds")
-        )
-
-    def avg_task_seconds(self) -> np.ndarray:
-        """Mean execution time of the tasks finished in each hour."""
-        return ratio_columns(
-            self.column("total_task_seconds"), self.column("tasks_finished")
-        )
 
     # ------------------------------------------------------------------
     # Slicing

@@ -6,6 +6,10 @@ row), tagged with the system aspect it reflects ("Throughput rate", "CPU process
 level", ...). The registry makes metrics first-class: models, optimizers, and
 experiment analyses all refer to metrics by name, so adding a metric here
 makes it available everywhere (the extensibility Section 5.3 describes).
+
+The Table 2 rows and ``AverageTaskSeconds`` read nothing but ``column()``, so
+they extract as well from :class:`~repro.telemetry.monitor.MachineDays` (one
+value per machine-day); the guarded ratios are defined once, here.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 from repro.telemetry.frame import MachineHourFrame
 from repro.utils.errors import TelemetryError
 
-__all__ = ["Metric", "MetricRegistry", "DEFAULT_REGISTRY"]
+__all__ = ["Metric", "MetricRegistry", "DEFAULT_REGISTRY", "ratio_columns"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,8 +39,27 @@ class Metric:
     extract: Callable[[MachineHourFrame], np.ndarray]
 
 
+def ratio_columns(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Elementwise ``num / den`` with 0.0 where ``den <= 0``.
+
+    The guarded-ratio convention of every derived metric: a non-positive
+    denominator yields 0.0. IEEE-754 double division is bitwise identical
+    between Python floats and numpy float64, so the vectorized ratio equals
+    the scalar ``num / den`` bit for bit.
+    """
+    num = np.asarray(num, dtype=np.float64)
+    den = np.asarray(den, dtype=np.float64)
+    out = np.zeros(num.shape, dtype=np.float64)
+    np.divide(num, den, out=out, where=den > 0)
+    return out
+
+
 def _column(name: str) -> Callable[[MachineHourFrame], np.ndarray]:
     return lambda f: f.column(name)
+
+
+def _ratio(num: str, den: str) -> Callable[[MachineHourFrame], np.ndarray]:
+    return lambda f: ratio_columns(f.column(num), f.column(den))
 
 
 def _build_default_metrics() -> tuple[Metric, ...]:
@@ -58,13 +81,13 @@ def _build_default_metrics() -> tuple[Metric, ...]:
             "BytesPerSecond",
             "Ratio of total data read and total execution time per machine",
             "Throughput rate",
-            lambda f: f.bytes_per_second(),
+            _ratio("total_data_read_bytes", "total_task_seconds"),
         ),
         Metric(
             "BytesPerCpuTime",
             "Ratio of total data read and total CPU time per machine",
             "CPU processing rate",
-            lambda f: f.bytes_per_cpu_time(),
+            _ratio("total_data_read_bytes", "total_cpu_seconds"),
         ),
         Metric(
             "CpuUtilization",
@@ -83,7 +106,7 @@ def _build_default_metrics() -> tuple[Metric, ...]:
             "AverageTaskSeconds",
             "Mean execution time of tasks finished in the hour",
             "Latency",
-            lambda f: f.avg_task_seconds(),
+            _ratio("total_task_seconds", "tasks_finished"),
         ),
         Metric(
             "QueueLength",

@@ -17,9 +17,9 @@ from repro.telemetry.metrics import DEFAULT_REGISTRY, MetricRegistry
 from repro.utils.errors import TelemetryError
 from repro.utils.units import left_sum
 
-__all__ = ["MachineDayRecord", "MonitorSnapshot", "PerformanceMonitor"]
+__all__ = ["MachineDays", "MonitorSnapshot", "PerformanceMonitor"]
 
-#: ``MachineDayRecord`` fields reduced from the same-named hour column, in order.
+#: Machine-day columns reduced from the same-named hour column, in order.
 _DAY_REDUCTIONS = (
     ("cpu_utilization", np.mean),
     ("avg_running_containers", np.mean),
@@ -58,54 +58,28 @@ class MonitorSnapshot:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class MachineDayRecord:
-    """One machine-day aggregate (the dots of Figure 9)."""
+class MachineDays:
+    """Machine-day aggregates (the dots of Figure 9), one array per column.
 
-    machine_id: int
-    sku: str
-    software: str
-    day: int
-    cpu_utilization: float
-    avg_running_containers: float
-    total_data_read_bytes: float
-    tasks_finished: int
-    total_task_seconds: float
-    total_cpu_seconds: float
-    hours_observed: int
+    The columns are the bucket key (``machine_id``, the ``sku`` and
+    ``software`` labels, ``day``), the ``_DAY_REDUCTIONS`` of its hours,
+    ``hours_observed``, and ``group``, the SC–SKU label
+    ``f"{software}_{sku}"``. The column-only Table 2 extractors of
+    :data:`~repro.telemetry.metrics.DEFAULT_REGISTRY` apply here as they do
+    to a :class:`~repro.telemetry.frame.MachineHourFrame`.
+    """
 
-    @property
-    def group(self) -> str:
-        """Machine-group label (SC–SKU combination)."""
-        return f"{self.software}_{self.sku}"
+    __slots__ = ("_columns",)
 
-    @property
-    def tasks_per_hour(self) -> float:
-        """Tasks finished per observed hour (the `l` of Eq. 3–4)."""
-        if self.hours_observed <= 0:
-            return 0.0
-        return self.tasks_finished / self.hours_observed
+    def __init__(self, columns: dict[str, np.ndarray]):
+        self._columns = columns
 
-    @property
-    def avg_task_seconds(self) -> float:
-        """Mean task execution time over the day (the `w` of Eq. 5–6)."""
-        if self.tasks_finished <= 0:
-            return 0.0
-        return self.total_task_seconds / self.tasks_finished
+    def __len__(self) -> int:
+        return len(self._columns["machine_id"])
 
-    @property
-    def bytes_per_cpu_time(self) -> float:
-        """Data read per CPU-second over the day."""
-        if self.total_cpu_seconds <= 0:
-            return 0.0
-        return self.total_data_read_bytes / self.total_cpu_seconds
-
-    @property
-    def bytes_per_second(self) -> float:
-        """Data read per task-execution-second over the day."""
-        if self.total_task_seconds <= 0:
-            return 0.0
-        return self.total_data_read_bytes / self.total_task_seconds
+    def column(self, name: str) -> np.ndarray:
+        """One machine-day column."""
+        return self._columns[name]
 
 
 class PerformanceMonitor:
@@ -204,7 +178,7 @@ class PerformanceMonitor:
     # ------------------------------------------------------------------
     # Aggregation
     # ------------------------------------------------------------------
-    def daily_aggregates(self, min_hours: int = 1) -> list[MachineDayRecord]:
+    def daily_aggregates(self, min_hours: int = 1) -> MachineDays:
         """Aggregate to machine-day observations (Figure 9's granularity).
 
         Machine-days observed fewer than ``min_hours`` hours are dropped:
@@ -222,42 +196,35 @@ class PerformanceMonitor:
         if not 1 <= min_hours <= 24:
             raise TelemetryError(f"min_hours must be in [1, 24], got {min_hours}")
         frame = self.frame
-        if not len(frame):
-            return []
         combined, labels = frame.group_codes()
         rank = {label: i for i, label in enumerate(sorted(labels))}
         group = np.array([rank[label] for label in labels], dtype=np.int64)
         keys = np.stack((frame.column("machine_id"), group[combined], frame.column("hour") // 24))
         order = np.lexsort(keys[::-1])
         keys = keys[:, order]
-        starts = np.flatnonzero(np.r_[True, (keys[:, 1:] != keys[:, :-1]).any(axis=0)])
+        changed = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+        starts = np.flatnonzero(np.r_[len(order) > 0, changed])  # none if no rows
         sizes = np.diff(np.r_[starts, len(order)])
         keep = sizes >= min_hours
         starts, sizes = starts[keep], sizes[keep]
 
-        reduced = {
-            name: np.empty(len(starts), dtype=frame.column(name).dtype)
-            for name, _ in _DAY_REDUCTIONS
+        first = order[starts]
+        columns = {
+            "machine_id": keys[0, starts],
+            "sku": frame.labels("sku")[first],
+            "software": frame.labels("software")[first],
+            "day": keys[2, starts],
+            "group": np.asarray(labels, dtype=object)[combined[first]],
+            "hours_observed": sizes,
         }
+        for name, _ in _DAY_REDUCTIONS:
+            columns[name] = np.empty(len(starts), dtype=frame.column(name).dtype)
         for size in np.unique(sizes).tolist():
             selected = sizes == size
             rows = order[starts[selected][:, None] + np.arange(size)]
             for name, reduce in _DAY_REDUCTIONS:
-                reduced[name][selected] = reduce(frame.column(name)[rows], axis=1)
-
-        first = order[starts]
-        return [
-            MachineDayRecord(*values)
-            for values in zip(
-                keys[0, starts].tolist(),
-                frame.labels("sku")[first].tolist(),
-                frame.labels("software")[first].tolist(),
-                keys[2, starts].tolist(),
-                *(reduced[name].tolist() for name, _ in _DAY_REDUCTIONS),
-                sizes.tolist(),
-                strict=True,
-            )
-        ]
+                columns[name][selected] = reduce(frame.column(name)[rows], axis=1)
+        return MachineDays(columns)
 
     def cluster_average_task_latency(self) -> float:
         """Cluster-wide mean task execution time (the paper's `W̄`).

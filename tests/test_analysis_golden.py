@@ -17,7 +17,10 @@ It also keeps the historical per-row loops for ``daily_aggregates`` and
 ``QueueTuner.measure`` as references (over :func:`tests.conftest.rows_of`), and asserts the column code equals
 them exactly, on those scenarios and on randomized frames whose buckets are
 ragged and wider than 8 rows (the scenarios' buckets within one run all have
-the same size or fewer than 8 rows). A deliberate behaviour change re-baselines the file, from the
+the same size or fewer than 8 rows). It also checks :func:`paired_impact`'s
+``(machine_id, day)`` join against a per-record dict join on a plain window
+paired with ``sc-migration``, whose split machine-days keep their last
+bucket. A deliberate behaviour change re-baselines the file, from the
 repo root::
 
     PYTHONPATH=src python -m tests.test_analysis_golden --write
@@ -36,13 +39,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import small_fleet_spec
 from repro.core.applications.queue_tuning import QueueGroupStats, QueueTuner
+from repro.core.kea import PairedWindow, paired_impact
 from repro.core.whatif import WhatIfEngine
 from repro.ml import huber
-from repro.telemetry.monitor import MachineDayRecord, PerformanceMonitor
+from repro.stats.treatment import paired_effect
+from repro.telemetry.monitor import PerformanceMonitor
 from tests.conftest import frame_of, rows_of
 from tests.test_frame import random_rows
-from tests.test_golden import _feed, run_scenario
+from tests.test_golden import _feed, _simulator, run_scenario
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "analysis.json"
 
@@ -63,8 +69,9 @@ QUEUE_FIELDS = (
 # ----------------------------------------------------------------------
 # Per-row references (the loops the column code replaced)
 # ----------------------------------------------------------------------
-def reference_daily_aggregates(frame, min_hours: int = 1) -> list[MachineDayRecord]:
-    """Bucket rows by (machine, group, day) and reduce each bucket."""
+def reference_daily_aggregates(frame, min_hours: int = 1) -> list[list]:
+    """Bucket rows by (machine, group, day) and reduce each bucket to one
+    :data:`DAY_FIELDS` row."""
     buckets: dict[tuple[int, str, int], list] = {}
     for row in rows_of(frame):
         key = (row.machine_id, row.group, row.hour // 24)
@@ -73,25 +80,19 @@ def reference_daily_aggregates(frame, min_hours: int = 1) -> list[MachineDayReco
     for (machine_id, _group, day), rows in sorted(buckets.items()):
         if len(rows) < min_hours:
             continue
-        aggregates.append(
-            MachineDayRecord(
-                machine_id=machine_id,
-                sku=rows[0].sku,
-                software=rows[0].software,
-                day=day,
-                cpu_utilization=float(np.mean([r.cpu_utilization for r in rows])),
-                avg_running_containers=float(
-                    np.mean([r.avg_running_containers for r in rows])
-                ),
-                total_data_read_bytes=float(
-                    np.sum([r.total_data_read_bytes for r in rows])
-                ),
-                tasks_finished=int(np.sum([r.tasks_finished for r in rows])),
-                total_task_seconds=float(np.sum([r.total_task_seconds for r in rows])),
-                total_cpu_seconds=float(np.sum([r.total_cpu_seconds for r in rows])),
-                hours_observed=len(rows),
-            )
-        )
+        aggregates.append([
+            machine_id,
+            rows[0].sku,
+            rows[0].software,
+            day,
+            float(np.mean([r.cpu_utilization for r in rows])),
+            float(np.mean([r.avg_running_containers for r in rows])),
+            float(np.sum([r.total_data_read_bytes for r in rows])),
+            int(np.sum([r.tasks_finished for r in rows])),
+            float(np.sum([r.total_task_seconds for r in rows])),
+            float(np.sum([r.total_cpu_seconds for r in rows])),
+            len(rows),
+        ])
     return aggregates
 
 
@@ -119,8 +120,8 @@ def reference_queue_measure(frame) -> list[QueueGroupStats]:
 # ----------------------------------------------------------------------
 # Canonical rows and digests
 # ----------------------------------------------------------------------
-def day_rows(aggregates) -> list[list]:
-    return [[getattr(a, name) for name in DAY_FIELDS] for a in aggregates]
+def day_rows(days) -> list[list]:
+    return [list(row) for row in zip(*(days.column(name).tolist() for name in DAY_FIELDS))]
 
 
 def queue_rows(stats) -> list[list]:
@@ -194,8 +195,8 @@ def test_daily_aggregates_equal_per_record_reference(name, min_hours):
     frame = scenario_frame(name)
     columnar = PerformanceMonitor(frame).daily_aggregates(min_hours=min_hours)
     reference = reference_daily_aggregates(frame, min_hours)
-    assert digest(day_rows(columnar)) == digest(day_rows(reference))
-    assert columnar == reference
+    assert digest(day_rows(columnar)) == digest(reference)
+    assert day_rows(columnar) == reference
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
@@ -216,7 +217,7 @@ def test_ragged_random_buckets_equal_per_record_reference(seed):
     for min_hours in (1, 5, 9):
         columnar = monitor.daily_aggregates(min_hours=min_hours)
         reference = reference_daily_aggregates(frame, min_hours)
-        assert columnar and digest(day_rows(columnar)) == digest(day_rows(reference))
+        assert len(columnar) and digest(day_rows(columnar)) == digest(reference)
     columnar = QueueTuner().measure(monitor)
     assert digest(queue_rows(columnar)) == digest(queue_rows(reference_queue_measure(frame)))
 
@@ -233,12 +234,56 @@ class TestFixturesReachTheirBranches:
         everything = monitor.daily_aggregates(min_hours=1)
         kept = monitor.daily_aggregates(min_hours=2)
         assert 0 < len(kept) < len(everything)
-        assert monitor.daily_aggregates(min_hours=12) == []
+        assert len(monitor.daily_aggregates(min_hours=12)) == 0
 
     def test_sc_flip_splits_a_machine_day(self):
         aggregates = PerformanceMonitor(scenario_frame("sc-migration")).daily_aggregates()
-        days = [(a.machine_id, a.day) for a in aggregates]
+        days = list(zip(aggregates.column("machine_id").tolist(),
+                        aggregates.column("day").tolist()))
         assert len(days) > len(set(days))
+
+
+# ----------------------------------------------------------------------
+# paired_impact's (machine_id, day) join
+# ----------------------------------------------------------------------
+def reference_machine_day_values(frame) -> tuple[dict, int]:
+    """The per-record join input: one dict keyed on ``(machine_id, day)``,
+    filled in bucket order, so the later bucket of a machine-day split by an
+    SC flip overwrites the earlier one. Also returns the bucket count."""
+    buckets: dict[tuple[int, str, int], list] = {}
+    for row in rows_of(frame):
+        buckets.setdefault((row.machine_id, row.group, row.hour // 24), []).append(row)
+    values = {}
+    for (machine_id, _group, day), rows in sorted(buckets.items()):
+        tasks = int(np.sum([r.tasks_finished for r in rows]))
+        seconds = float(np.sum([r.total_task_seconds for r in rows]))
+        values[(machine_id, day)] = (
+            float(np.sum([r.total_data_read_bytes for r in rows])),
+            seconds / tasks if tasks > 0 else 0.0,
+        )
+    return values, len(buckets)
+
+
+def test_paired_impact_equals_per_record_join_across_an_sc_flip():
+    # The sc-migration run without its migration: same fleet, seed and jobs.
+    plain = _simulator(small_fleet_spec(), 3.0, 220.0, seed=31).run(3.0).frame
+    migrated = scenario_frame("sc-migration")
+    before, _ = reference_machine_day_values(plain)
+    after, after_buckets = reference_machine_day_values(migrated)
+    assert after_buckets > len(after)  # some (machine, day) has two buckets
+    keys = sorted(before.keys() & after.keys())
+    throughput, latency = (
+        paired_effect(
+            np.array([before[k][i] for k in keys]), np.array([after[k][i] for k in keys])
+        )
+        for i in (0, 1)
+    )
+    impact = paired_impact(
+        PairedWindow(frame=plain, benchmark_runtimes={}, capacity=1),
+        PairedWindow(frame=migrated, benchmark_runtimes={}, capacity=1),
+    )
+    assert repr(impact.throughput) == repr(throughput)
+    assert repr(impact.latency) == repr(latency)
 
 
 _finite = st.floats(

@@ -7,6 +7,7 @@ from repro.telemetry.export import (
     write_jobs_csv,
     write_machine_hours_csv,
 )
+from repro.telemetry.metrics import DEFAULT_REGISTRY
 from repro.telemetry.records import JobRecord
 from tests.conftest import frame_of, make_row, rows_of
 
@@ -56,7 +57,8 @@ class TestMachineHourRoundTrip:
         path = tmp_path / "derived.csv"
         write_machine_hours_csv(frame, path)
         restored = read_machine_hours_csv(path)
-        assert restored.bytes_per_second()[0] == pytest.approx(frame.bytes_per_second()[0])
+        extract = DEFAULT_REGISTRY.get("BytesPerSecond").extract
+        assert extract(restored)[0] == pytest.approx(extract(frame)[0])
 
 
 class TestJobsCsv:

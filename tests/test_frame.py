@@ -185,13 +185,13 @@ class TestFrameRoundTrip:
     def test_derived_columns_match_record_properties(self):
         rows = random_rows(seed=13)
         frame = frame_of(rows)
-        assert frame.bytes_per_second().tolist() == [
+        assert DEFAULT_REGISTRY.get("BytesPerSecond").extract(frame).tolist() == [
             _ratio(r.total_data_read_bytes, r.total_task_seconds) for r in rows
         ]
-        assert frame.bytes_per_cpu_time().tolist() == [
+        assert DEFAULT_REGISTRY.get("BytesPerCpuTime").extract(frame).tolist() == [
             _ratio(r.total_data_read_bytes, r.total_cpu_seconds) for r in rows
         ]
-        assert frame.avg_task_seconds().tolist() == [
+        assert DEFAULT_REGISTRY.get("AverageTaskSeconds").extract(frame).tolist() == [
             _ratio(r.total_task_seconds, r.tasks_finished) for r in rows
         ]
         assert frame.queue_p99_wait().tolist() == [_p99(r.queue_waits) for r in rows]

@@ -92,14 +92,15 @@ class TestDailyAggregation:
             for h in range(48)
         ]
         monitor = PerformanceMonitor(frame_of(rows))
-        aggregates = monitor.daily_aggregates()
-        assert len(aggregates) == 2
-        day0 = aggregates[0]
-        assert day0.tasks_finished == 240
-        assert day0.total_data_read_bytes == pytest.approx(24e9)
-        assert day0.tasks_per_hour == pytest.approx(10.0)
-        assert day0.avg_task_seconds == pytest.approx(100.0)
-        assert day0.hours_observed == 24
+        days = monitor.daily_aggregates()
+        assert len(days) == 2
+        assert days.column("day").tolist() == [0, 1]
+        assert days.column("tasks_finished")[0] == 240
+        assert days.column("total_data_read_bytes")[0] == pytest.approx(24e9)
+        tasks_per_hour = days.column("tasks_finished") / days.column("hours_observed")
+        assert tasks_per_hour[0] == pytest.approx(10.0)
+        assert DEFAULT_REGISTRY.get("AverageTaskSeconds").extract(days)[0] == pytest.approx(100.0)
+        assert days.column("hours_observed")[0] == 24
 
     def test_min_hours_drops_partial_days(self):
         rows = [make_row(machine_id=0, hour=h) for h in range(26)]
@@ -122,8 +123,8 @@ class TestDailyAggregation:
     def test_group_property(self):
         rows = [make_row(sku="Gen 3.1", software="SC1", hour=h)
                    for h in range(24)]
-        aggregate = PerformanceMonitor(frame_of(rows)).daily_aggregates()[0]
-        assert aggregate.group == "SC1_Gen 3.1"
+        days = PerformanceMonitor(frame_of(rows)).daily_aggregates()
+        assert days.column("group").tolist() == ["SC1_Gen 3.1"]
 
 
 class TestClusterAggregates:

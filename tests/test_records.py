@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.telemetry.metrics import DEFAULT_REGISTRY
 from repro.telemetry.records import TaskLog
 from tests.conftest import frame_of, make_row
 
@@ -18,25 +19,25 @@ class TestMachineHourRecord:
         frame = frame_of(
             [make_row(total_data_read_bytes=8e9, total_task_seconds=4000.0)]
         )
-        assert frame.bytes_per_second()[0] == pytest.approx(2e6)
+        assert DEFAULT_REGISTRY.get("BytesPerSecond").extract(frame)[0] == pytest.approx(2e6)
 
     def test_bytes_per_cpu_time(self):
         frame = frame_of(
             [make_row(total_data_read_bytes=9e9, total_cpu_seconds=3000.0)]
         )
-        assert frame.bytes_per_cpu_time()[0] == pytest.approx(3e6)
+        assert DEFAULT_REGISTRY.get("BytesPerCpuTime").extract(frame)[0] == pytest.approx(3e6)
 
     def test_avg_task_seconds(self):
         frame = frame_of([make_row(tasks_finished=50, total_task_seconds=5000.0)])
-        assert frame.avg_task_seconds()[0] == pytest.approx(100.0)
+        assert DEFAULT_REGISTRY.get("AverageTaskSeconds").extract(frame)[0] == pytest.approx(100.0)
 
     def test_degenerate_ratios_are_zero(self):
         frame = frame_of(
             [make_row(tasks_finished=0, total_task_seconds=0.0, total_cpu_seconds=0.0)]
         )
-        assert frame.bytes_per_second()[0] == 0.0
-        assert frame.bytes_per_cpu_time()[0] == 0.0
-        assert frame.avg_task_seconds()[0] == 0.0
+        assert DEFAULT_REGISTRY.get("BytesPerSecond").extract(frame)[0] == 0.0
+        assert DEFAULT_REGISTRY.get("BytesPerCpuTime").extract(frame)[0] == 0.0
+        assert DEFAULT_REGISTRY.get("AverageTaskSeconds").extract(frame)[0] == 0.0
 
 
 class TestQueueStats:
