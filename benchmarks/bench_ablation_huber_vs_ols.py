@@ -4,13 +4,15 @@ Section 5.2.1 chose a Huber regressor because production telemetry carries
 outliers (stragglers, failing disks, partial hours). The bench corrupts a
 fraction of the observations and measures how far each calibration drifts
 from the clean-data fit — the design choice KEA's What-if Engine rests on.
+It fits the f relation (CPU utilization → average task latency) on the
+hour-level telemetry of the fleet's first SC–SKU group: the group has too few
+machine-days for a stable ablation, so hours are the points.
 """
 
 import numpy as np
 
 from benchmarks.common import emit
 from repro.ml import HuberRegressor, LinearRegression
-from repro.telemetry import DEFAULT_REGISTRY
 from repro.utils.tables import TextTable
 
 CORRUPTION_RATES = (0.0, 0.05, 0.10, 0.20)
@@ -19,16 +21,9 @@ CORRUPTION_RATES = (0.0, 0.05, 0.10, 0.20)
 def test_ablation_huber_vs_ols(benchmark, production_run):
     _, _, monitor = production_run
     group = monitor.groups()[0]
-    days = monitor.daily_aggregates()
-    in_group = days.column("group") == group
-    # Not enough daily points for a stable ablation? fall back to hour level.
-    if np.count_nonzero(in_group) >= 30:
-        x = days.column("cpu_utilization")[in_group]
-        y = DEFAULT_REGISTRY.get("AverageTaskSeconds").extract(days)[in_group]
-    else:
-        sub = monitor.filter(group=group)
-        x = sub.metric("CpuUtilization")
-        y = sub.metric("AverageTaskSeconds")
+    sub = monitor.filter(group=group)
+    x = sub.metric("CpuUtilization")
+    y = sub.metric("AverageTaskSeconds")
     keep = y > 0
     x, y = x[keep], y[keep]
     truth = HuberRegressor().fit(x, y)

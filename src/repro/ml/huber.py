@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.model import LinearModelBase, weighted_rows
+from repro.ml.model import LinearModelBase, RaggedBlock
 
 __all__ = ["HuberRegressor"]
 
@@ -24,42 +24,43 @@ _MAD_TO_SIGMA = 1.4826  # MAD of a normal distribution → its sigma
 
 
 def _median(values: np.ndarray) -> float:
-    """``np.median`` of a finite 1-D array, without its generic axis and NaN handling."""
-    return float(_row_medians(values[None, :])[0, 0])
+    """``np.median`` of a finite 1-D array: the one-row case of :func:`_medians`."""
+    return float(_medians(values.copy(), np.array([(values.size - 1) // 2, values.size // 2])))
 
 
-def _row_medians(block: np.ndarray) -> np.ndarray:
-    """The median of each row of a 2-D block, as a column, from a row sort."""
-    ordered = block.copy()
-    ordered.sort(axis=1)
-    mid = ordered.shape[1] // 2
-    if ordered.shape[1] % 2:
-        return ordered[:, mid : mid + 1]
-    return (ordered[:, mid - 1 : mid] + ordered[:, mid : mid + 1]) / 2.0
+def _medians(block: np.ndarray, middle: np.ndarray) -> np.ndarray:
+    """Row medians of a block whose pads are +inf (they sort last), which is sorted in place: the
+    mean of the values at each row's flat ``middle`` positions, one value twice for odd lengths."""
+    block.sort()
+    lower, upper = block.take(middle)
+    return (lower + upper) / 2.0
 
 
-def fit_block(x, y, delta: float, max_iter: int, tol: float) -> tuple[np.ndarray, ...]:
-    """Huber IRLS on each row of ``(k, n)`` blocks: slopes, intercepts and iteration counts.
-    A row stops when its fit converges or its residual scale collapses (a (near-)exact fit for
-    >50% of its points, where weights would blow up); a mask freezes it and voids later work."""
+def fit_block(samples, delta: float, max_iter: int, tol: float) -> tuple[np.ndarray, ...]:
+    """Huber IRLS on ``(x, y)`` samples as one :class:`RaggedBlock`: slopes, intercepts and
+    iteration counts. A row stops when its fit converges or its residual scale collapses (a
+    (near-)exact fit for >50% of its points, where weights would blow up); a mask freezes it and
+    voids later work."""
+    block = RaggedBlock(samples)
+    ones, x, y = block.oxy
     with np.errstate(all="ignore"):
-        slope, intercept = weighted_rows(x, y, np.ones_like(x))
+        fit = block.weighted_rows(ones)  # slopes and intercepts, stacked
+        slope, intercept = fit
         iterations = np.zeros(slope.shape, dtype=np.int64)
         live = np.ones(slope.shape, dtype=np.bool_)
         for _ in range(max_iter):
             iterations += live
             residuals = y - (intercept + slope * x)
-            deviations = np.abs(residuals - _row_medians(residuals))
-            scale = _MAD_TO_SIGMA * _row_medians(deviations)
-            live &= ~(scale < 1e-12)
+            deviations = np.abs(residuals - _medians(residuals.copy(), block.middle))
+            scale = _MAD_TO_SIGMA * _medians(deviations, block.middle)
+            np.greater(live, scale < 1e-12, out=live)  # live &= ~(scale < 1e-12)
             # Weight 1 within the threshold t, t/|r| beyond it: t/|r| >= 1
             # exactly when |r| <= t, as t > 0 on live rows.
-            weights = np.minimum(delta * scale / np.abs(residuals), 1.0)
-            new_slope, new_intercept = weighted_rows(x, y, weights)
-            change = np.abs(new_slope - slope) + np.abs(new_intercept - intercept)
-            slope = np.where(live, new_slope, slope)
-            intercept = np.where(live, new_intercept, intercept)
-            live &= ~(change < tol * (1.0 + np.abs(slope) + np.abs(intercept)))
+            new_fit = block.weighted_rows(np.minimum(delta * scale / np.abs(residuals), 1.0))
+            change = np.abs(new_fit - fit)
+            np.copyto(fit, new_fit, where=live)
+            bound = np.abs(fit)
+            np.greater(live, change[0] + change[1] < tol * (1.0 + bound[0] + bound[1]), out=live)
             if not np.count_nonzero(live):
                 break
     return slope[:, 0], intercept[:, 0], iterations[:, 0]
@@ -82,15 +83,13 @@ class HuberRegressor(LinearModelBase):
 
     @classmethod
     def fit_many(cls, models, samples) -> None:
-        """Fit the samples of each length (and parameters) as one block."""
+        """Fit the samples that share parameters as one ragged block, whatever their lengths."""
         blocks: dict[tuple, list] = {}
         for model, (x, y) in zip(models, samples, strict=True):
             x, y = model._validate(x, y)
-            key = (x.size, model.delta, model.max_iter, model.tol)
-            blocks.setdefault(key, []).append((model, x, y))
-        for (n, *params), members in blocks.items():
-            block, xs, ys = zip(*members, strict=True)
-            fitted = (a.tolist() for a in fit_block(np.array(xs), np.array(ys), *params))
-            for model, *fit in zip(block, *fitted, strict=True):
+            blocks.setdefault((model.delta, model.max_iter, model.tol), []).append((model, x, y))
+        for params, members in blocks.items():
+            members.sort(key=lambda member: member[1].size)
+            fitted = fit_block([(x, y) for _, x, y in members], *params)
+            for (model, _, _), *fit in zip(members, *(a.tolist() for a in fitted), strict=True):
                 model.slope, model.intercept, model.n_iterations_ = fit
-                model._n_observations = n

@@ -10,28 +10,82 @@ paper maps one metric to another).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
 from repro.utils.errors import ModelNotCalibratedError
 
-__all__ = ["LinearModelBase", "FitSummary", "weighted_rows"]
+__all__ = ["LinearModelBase", "FitSummary", "RaggedBlock", "fit_summaries"]
 
 
-def weighted_rows(x, y, weights) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted least squares for the affine model on each row of ``(k, n)`` blocks: ``(k, 1)``
-    slopes (0 where x has no spread) and intercepts. Each C-contiguous row is summed with the
-    pairwise kernel of the row alone, so a row's fit is bit for bit its fit alone."""
-    row_sum = np.add.reduce
-    w_sum = row_sum(weights, 1, keepdims=True)
-    x_mean = row_sum(weights * x, 1, keepdims=True) / w_sum
-    y_mean = row_sum(weights * y, 1, keepdims=True) / w_sum
-    dx = x - x_mean
-    sxx = row_sum(weights * dx**2, 1, keepdims=True)
-    sxy = row_sum(weights * dx * (y - y_mean), 1, keepdims=True)
-    spread = sxx != 0.0
-    slope = np.divide(sxy, sxx, out=np.zeros(sxx.shape), where=spread)
-    return slope, np.where(spread, y_mean - slope * x_mean, y_mean)
+class RaggedBlock:
+    """``(x, y)`` samples packed into one ``(3, k, N)`` stack of ones, x (pads 0) and y (pads
+    +inf), with the workspace of :meth:`weighted_rows`. Each run of rows of one length n is summed
+    as a ``[..., rows, :n]`` view along the last axis (one reduction per run, so sort samples by
+    length): each row with the pairwise kernel of the row alone, and pads never enter a sum."""
+
+    def __init__(self, samples) -> None:
+        lengths = [x.size for x, _ in samples]
+        k, width = len(samples), max(lengths)
+        self.oxy = np.zeros((3, k, width)) + np.array([[[1.0]], [[0.0]], [[np.inf]]])
+        for row, (x, y) in enumerate(samples):
+            self.oxy[1:, row, : x.size] = x, y
+        middle = [(row * width + (n - 1) // 2, row * width + n // 2)
+                  for row, n in enumerate(lengths)]
+        self.middle = np.array(middle).T[..., None]  # each row's flat middle positions, (2, k, 1)
+        self._terms, self._deltas = np.empty((3, k, width)), np.empty((2, k, width))
+        self._sums = np.empty((5, k, 1))  # w, x̄, ȳ, sxx, sxy
+        self._runs, first = [], 0
+        for n, rows in groupby(lengths):
+            rows = slice(first, first := first + len(list(rows)))
+            self._runs.append((self._terms[:, rows, :n], self._sums[:3, rows],
+                               self._terms[:2, rows, :n], self._sums[3:, rows]))
+
+    def weighted_rows(self, weights) -> np.ndarray:
+        """Weighted least squares for the affine model on each row: a ``(2, k, 1)`` stack of
+        slopes (0 where x has no spread) and intercepts, each bit for bit the row's fit alone."""
+        terms, deltas, sums = self._terms, self._deltas, self._sums
+        np.multiply(self.oxy, weights, out=terms)  # w, w·x, w·y
+        for block, out, _, _ in self._runs:
+            np.add.reduce(block, -1, None, out, True)
+        np.divide(sums[1:3], sums[0], out=sums[1:3])  # x̄, ȳ
+        np.subtract(self.oxy[1:], sums[1:3], out=deltas)  # dx, dy
+        np.multiply(deltas[0], deltas[0], out=terms[0])
+        terms[0] *= weights  # w·dx²
+        np.multiply(weights, deltas[0], out=terms[1])
+        terms[1] *= deltas[1]  # w·dx·dy
+        for _, _, block, out in self._runs:
+            np.add.reduce(block, -1, None, out, True)
+        spread = sums[3] != 0.0
+        fit = np.zeros((2, *spread.shape))
+        np.divide(sums[4], sums[3], out=fit[0], where=spread)
+        np.multiply(fit[0], sums[1], out=fit[1], where=spread)
+        np.subtract(sums[2], fit[1], out=fit[1])  # ȳ - slope·x̄; ȳ - 0.0 = ȳ without spread
+        return fit
+
+
+def fit_summaries(models, samples) -> list[FitSummary]:
+    """Goodness of fit of each fitted model on its ``(x, y)`` sample, one block per length with
+    each row summed alone: bit for bit the model's lone :meth:`LinearModelBase.summary`."""
+    by_length: dict[int, list] = {}
+    for index, (model, sample) in enumerate(zip(models, samples, strict=True)):
+        model._require_fitted()
+        x, y = model._validate(*sample)
+        by_length.setdefault(x.size, []).append((index, model.slope, model.intercept, x, y))
+    summaries: list = [None] * len(models)
+    for n, members in by_length.items():
+        indices, slopes, intercepts, xs, ys = zip(*members, strict=True)
+        y = np.array(ys)
+        fitted = np.array(intercepts)[:, None] + np.array(slopes)[:, None] * np.array(xs)
+        ss_res = np.add.reduce((y - fitted) ** 2, axis=1)
+        ss_tot = np.add.reduce((y - np.add.reduce(y, axis=1, keepdims=True) / n) ** 2, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r_squared = np.where(ss_tot > 0, 1.0 - ss_res / ss_tot, 1.0).tolist()
+        rmse = np.sqrt(ss_res / n).tolist()
+        for index, *fields in zip(indices, r_squared, rmse, slopes, intercepts, strict=True):
+            summaries[index] = FitSummary(n, *fields)
+    return summaries
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,7 +105,6 @@ class LinearModelBase:
     def __init__(self) -> None:
         self.slope: float | None = None
         self.intercept: float | None = None
-        self._n_observations = 0
 
     # -- fitting -------------------------------------------------------
     def fit(self, x: np.ndarray, y: np.ndarray) -> "LinearModelBase":
@@ -67,7 +120,6 @@ class LinearModelBase:
             x, y = model._validate(x, y)
             slope, intercept = model._fit_params(x, y)
             model.slope, model.intercept = float(slope), float(intercept)
-            model._n_observations = x.size
 
     def _fit_params(self, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
         raise NotImplementedError
@@ -121,18 +173,5 @@ class LinearModelBase:
         return float(x) if scalar else x
 
     def summary(self, x: np.ndarray, y: np.ndarray) -> FitSummary:
-        """Goodness-of-fit on the given data."""
-        self._require_fitted()
-        x, y = self._validate(x, y)
-        predictions = self.predict(x)
-        residuals = y - predictions
-        ss_res = float(np.sum(residuals**2))
-        ss_tot = float(np.sum((y - y.mean()) ** 2))
-        r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-        return FitSummary(
-            n_observations=x.size,
-            r_squared=r_squared,
-            rmse=float(np.sqrt(ss_res / x.size)),
-            slope=self.slope,
-            intercept=self.intercept,
-        )
+        """Goodness-of-fit on the given data: the one-model case of :func:`fit_summaries`."""
+        return fit_summaries([self], [(x, y)])[0]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.model import LinearModelBase, weighted_rows
+from repro.ml.model import LinearModelBase, RaggedBlock
 
 __all__ = ["QuantileRegressor"]
 
@@ -37,15 +37,15 @@ class QuantileRegressor(LinearModelBase):
     def _fit_params(self, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
         scale = max(float(np.std(y)), 1e-9)
         eps = self.eps * scale
-        x, y = x[None, :], y[None, :]  # one-row blocks for weighted_rows
-        slope, intercept = weighted_rows(x, y, np.ones_like(x))  # OLS warm start
+        block = RaggedBlock([(x, y)])  # one row: residuals and weights are (1, n)
+        slope, intercept = block.weighted_rows(block.oxy[0])  # OLS warm start
         for iteration in range(self.max_iter):
             residuals = y - (intercept + slope * x)
             # Pinball loss rho_tau(r) = r(tau - 1[r<0]); IRLS weight is
             # rho'(r)/r with smoothing to avoid division blow-up near 0.
             asymmetric = np.where(residuals >= 0, self.tau, 1.0 - self.tau)
             weights = asymmetric / np.sqrt(residuals**2 + eps**2)
-            new_slope, new_intercept = weighted_rows(x, y, weights)
+            new_slope, new_intercept = block.weighted_rows(weights)
             change = abs(new_slope - slope) + abs(new_intercept - intercept)
             slope, intercept = new_slope, new_intercept
             self.n_iterations_ = iteration + 1

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ml.model import FitSummary, LinearModelBase
+from repro.ml.model import FitSummary, LinearModelBase, fit_summaries
 from repro.utils.errors import ModelNotCalibratedError
 
 __all__ = ["Relation", "CalibratedRelation", "ModelRegistry", "RELATION_G",
@@ -72,11 +72,13 @@ class ModelRegistry:
         """Fit a fresh model per ``(group, relation, x, y)`` as one
         :meth:`LinearModelBase.fit_many` batch and store them, in order."""
         models = [model_factory() for _ in fits]
+        samples = [fit[2:] for fit in fits]
         if models:
-            type(models[0]).fit_many(models, [fit[2:] for fit in fits])
+            type(models[0]).fit_many(models, samples)
+        summaries = fit_summaries(models, samples)
         calibrated = [
-            CalibratedRelation(group, relation, model, model.summary(x, y))
-            for model, (group, relation, x, y) in zip(models, fits, strict=True)
+            CalibratedRelation(group, relation, model, summary)
+            for (group, relation, *_), model, summary in zip(fits, models, summaries, strict=True)
         ]
         self._models.update(((c.group, c.relation.name), c) for c in calibrated)
         return calibrated

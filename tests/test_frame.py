@@ -18,6 +18,7 @@ from tests.conftest import frame_of, make_row, rows_of
 from repro.telemetry import DEFAULT_REGISTRY, PerformanceMonitor
 from repro.telemetry.frame import _ALL_COLUMNS, _DTYPES, CATEGORICAL_COLUMNS
 from repro.telemetry.views import utilization_bands
+from repro.utils.units import left_sum
 
 
 def random_rows(n: int = 200, seed: int = 7):
@@ -258,9 +259,9 @@ class TestVectorizedConsumersOnLiveSimulation:
         frame, rows = live
         monitor = PerformanceMonitor(frame)
         assert monitor.total_data_read_bytes() == float(
-            sum(r.total_data_read_bytes for r in rows)
+            left_sum(r.total_data_read_bytes for r in rows)
         )
-        total_seconds = sum(r.total_task_seconds for r in rows)
+        total_seconds = left_sum(r.total_task_seconds for r in rows)
         total_tasks = sum(r.tasks_finished for r in rows)
         assert monitor.cluster_average_task_latency() == total_seconds / total_tasks
         snapshot = monitor.snapshot()

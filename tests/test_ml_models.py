@@ -6,11 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ml import (
+    FitSummary,
     HuberRegressor,
     LinearRegression,
+    ModelRegistry,
     QuantileRegressor,
+    Relation,
 )
-from repro.ml.model import weighted_rows
+from repro.ml.model import RaggedBlock
 from repro.utils.errors import ModelNotCalibratedError
 
 
@@ -165,7 +168,9 @@ def reference_huber(x, y, delta=1.345, max_iter=100, tol=1e-8):
     return slope, intercept, iterations
 
 
-ROW_KINDS = ("noisy", "outliers", "exact", "mostly_exact", "constant_x", "ties")
+ROW_KINDS = (
+    "noisy", "outliers", "exact", "mostly_exact", "constant_x", "ties", "signed_zeros"
+)
 
 
 def huber_row(kind, n, rng):
@@ -176,6 +181,8 @@ def huber_row(kind, n, rng):
         return x, rng.integers(0, 3, n) + 0.5 * x
     if kind == "constant_x":  # sxx == 0: slope 0, intercept the mean
         return np.full(n, rng.uniform(1.0, 9.0)), rng.normal(5.0, 2.0, n)
+    if kind == "signed_zeros":  # -0.0 beside 0.0; often no x spread or an exact fit
+        return rng.choice([-0.0, 0.0, -1.0], n), rng.choice([-0.0, 0.0, 0.5], n)
     y = 0.3 + 0.02 * x
     if kind == "exact":  # residual scale < 1e-12 on the first iteration
         return x, y
@@ -189,6 +196,21 @@ def huber_row(kind, n, rng):
     return x, y
 
 
+def reference_summary(model, x, y):
+    """The per-sample goodness of fit that ``fit_summaries`` replaced."""
+    residuals = y - model.predict(x)
+    ss_res = float(np.sum(residuals**2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return FitSummary(x.size, r_squared, float(np.sqrt(ss_res / x.size)), model.slope,
+                      model.intercept)
+
+
+def _summary_bits(summary):
+    fields = (summary.r_squared, summary.rmse, summary.slope, summary.intercept)
+    return (summary.n_observations, *(float(v).hex() for v in fields))
+
+
 def _bits(model):
     return (model.slope.hex(), model.intercept.hex(), model.n_iterations_)
 
@@ -199,8 +221,8 @@ def _reference_bits(x, y, **params):
 
 
 class TestHuberBlockFit:
-    """``fit_block`` runs the one IRLS loop over same-length rows; every row
-    must come out as the per-row reference would fit it, bit for bit."""
+    """``fit_block`` runs the one IRLS loop over a ragged block of rows; every
+    row must come out as the per-row reference would fit it, bit for bit."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -218,6 +240,27 @@ class TestHuberBlockFit:
         for model, (x, y) in zip(models, samples, strict=True):
             assert _bits(model) == _reference_bits(x, y)
             assert _bits(HuberRegressor().fit(x, y)) == _reference_bits(x, y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(st.sampled_from(ROW_KINDS), st.integers(2, 40)), min_size=1, max_size=9
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mixed_length_batches_equal_lone_fits_and_summaries(self, rows, seed):
+        """One ragged block of any lengths (odd, even, below and above the
+        pairwise kernel's 8): every fit and summary, as a registry batch
+        makes them, is bit for bit the sample's lone fit and summary."""
+        rng = np.random.default_rng(seed)
+        samples = [huber_row(kind, n, rng) for kind, n in rows]
+        fits = [("group", Relation(f"r{i}", "x", "y"), *xy) for i, xy in enumerate(samples)]
+        calibrated = ModelRegistry().calibrate_many(fits, HuberRegressor)
+        for fitted, (x, y) in zip(calibrated, samples, strict=True):
+            lone = HuberRegressor().fit(x, y)
+            assert _bits(fitted.model) == _bits(lone)
+            assert _summary_bits(fitted.fit) == _summary_bits(lone.summary(x, y))
+            assert _summary_bits(fitted.fit) == _summary_bits(reference_summary(lone, x, y))
 
     def test_one_block_mixes_every_stopping_rule(self):
         rng = np.random.default_rng(3)
@@ -253,7 +296,7 @@ class TestHuberBlockFit:
         rows = [huber_row(kind, n, rng) for kind in kinds]
         x, y = (np.array(side) for side in zip(*rows, strict=True))
         weights = rng.uniform(0.01, 1.0, x.shape)
-        slopes, intercepts = weighted_rows(x, y, weights)
+        slopes, intercepts = RaggedBlock(rows).weighted_rows(weights)
         for row in range(len(kinds)):
             want = reference_weighted_fit(x[row], y[row], weights[row])
             got = (float(slopes[row, 0]), float(intercepts[row, 0]))
